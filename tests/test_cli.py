@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -271,3 +272,63 @@ class TestPresetContents:
         assert main(["region-scan", "--preset", "fig3", "--out", str(out)]) == 0
         regions = {line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]}
         assert {"I", "II", "III"} <= regions
+
+
+TRI_LABELS = [
+    "D12", "D13", "D23", "PPT:1|2", "PPT:1|3", "PPT:2|3", "PPT:1|23", "PPT:2|13", "PPT:3|12",
+]
+QUAD_LABELS = [
+    "PPT:1|234", "PPT:2|134", "PPT:3|124", "PPT:4|123", "PPT:12|34", "PPT:13|24",
+    "PPT:14|23", "PPT:1|3", "PPT:2|4", "PPT:3|4", "PPT:3|14", "PPT:4|23",
+]
+TRI_GRID = {
+    "system": "tri",
+    "gains": {axis: {"start": 1.0, "stop": 3.0, "step": 0.1} for axis in ("G1", "G2")},
+    "criteria": TRI_LABELS,
+}
+QUAD_GRID = {
+    "system": "quad",
+    "gains": {axis: {"start": 1.0, "stop": 1.6, "step": 0.1} for axis in ("G1", "G2", "G3")},
+    "criteria": QUAD_LABELS,
+}
+
+
+class TestGoldenBytes:
+    """sha256 of whole output files, recorded with the row-by-row CSV writer
+    and ``json.dumps(..., indent=2)``; the streaming emitter must match them."""
+
+    @pytest.mark.parametrize(
+        "args, config, digest",
+        [
+            (["region-scan", "--preset", "fig5"], None,
+             "4b6ac7abbc2aa62a2b3ce1f5e812693944d6f371522f9dd58373afbf70458caa"),
+            (["region-scan", "--preset", "fig6"], None,
+             "5e3e1819f1f514ca51c8b5f8ae297961c96a5aad4367533463a2b52f7362e240"),
+            (["region-scan"], TRI_GRID,
+             "2dbb7ad64c42a523d605ac01c4ed1cd8e2bd641d930a2536d6de0ef471ec3df0"),
+            (["region-scan", "--format", "json"], TRI_GRID,
+             "2501f89c258504cb9d1a93b0227ac48146b516ac7b27a8f2c952fe08dd624117"),
+            (["region-scan"], QUAD_GRID,
+             "2e397f05a6fa12151fe9c7cdaac94a622f19afd52b350dd28650a06202542e53"),
+            (["region-scan", "--format", "json"], QUAD_GRID,
+             "e84f055c4ee89ac39625179e4fc27abf70146b792bb4f50a9fba0713d330e1fb"),
+            (["profile", "--preset", "fig9_tri"], None,
+             "bcafb1811c291fa5f3c8873b669e27e4e10a5a65269c72f2d82c9c4022cb85a8"),
+            (["profile", "--preset", "fig9_quad"], None,
+             "4f78f25677a410eefb9eb5b074d1c6c3c768ad2ae95ae9dec19c9c9df2bf62fd"),
+            (["spectrum", "--preset", "fig8_col3"], None,
+             "c53986fe4c63fae054aa756f529a004b42c9a2df7324733870d9679db6fbacd6"),
+            (["channels", "--format", "csv"], None,
+             "722383d8574dc6a862812a14837e59a0e8b6a3a8eea483d5e0f323024789950a"),
+        ],
+        ids=[
+            "fig5", "fig6", "tri21-csv", "tri21-json", "quad7-csv", "quad7-json",
+            "fig9_tri", "fig9_quad", "fig8_col3", "channels-csv",
+        ],
+    )
+    def test_output_sha256(self, tmp_path, args, config, digest):
+        if config is not None:
+            args = args + ["--config", write_config(tmp_path, config)]
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -27,7 +27,7 @@ from .criteria import (
     DuanResult,
     GridAxis,
     PPTResult,
-    SweepRow,
+    Sweep,
     classify_tri_region,
     duan_quad_closed,
     duan_quad_closed_grid,
@@ -37,6 +37,7 @@ from .criteria import (
     parse_criterion,
     ppt_value,
     sweep_criteria,
+    tri_regions,
 )
 from .fock import (
     TruncatedState,

@@ -140,14 +140,20 @@ def _dressing_case(name) -> DressingCase:
         raise ConfigError(f"unknown dressing case {name!r}; valid: {valid}") from exc
 
 
-def _grid_array(spec) -> np.ndarray:
+def _grid_axis(spec, what: str) -> GridAxis:
     if not isinstance(spec, dict) or not {"start", "stop", "step"} <= set(spec):
-        raise ConfigError("'grid' must be an object with start, stop and step")
-    start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
-    if step <= 0 or stop <= start:
-        raise ConfigError(f"invalid grid [{start}, {stop}] step {step}")
-    count = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(count)
+        raise ConfigError(f"{what} must be an object with start, stop and step")
+    return GridAxis(*(float(spec[k]) for k in ("start", "stop", "step")))
+
+
+def _grid_array(spec) -> np.ndarray:
+    try:
+        grid = _grid_axis(spec, "'grid'").values()
+    except ValueError as exc:
+        raise ConfigError(f"invalid 'grid': {exc}") from exc
+    if grid.size < 2:
+        raise ConfigError(f"'grid' must have at least two points, got {spec}")
+    return grid
 
 
 def _gain_axes(spec) -> dict:
@@ -156,48 +162,88 @@ def _gain_axes(spec) -> dict:
     axes = {}
     for name, value in spec.items():
         if isinstance(value, dict):
-            if not {"start", "stop", "step"} <= set(value):
-                raise ConfigError(f"gain range {name} needs start, stop and step")
-            axes[name] = GridAxis(float(value["start"]), float(value["stop"]), float(value["step"]))
+            axes[name] = _grid_axis(value, f"gain range {name}")
         else:
             axes[name] = float(value)
     return axes
 
 
+#: rows formatted and written per block
+ROW_BLOCK = 4096
+
+
 def _fmt(value) -> str:
+    """CSV text of one value, as ``csv.writer`` writes it among other fields."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(float(value))  # shortest round-trip form, locale independent
+    if isinstance(value, str):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([value, ""])  # quotes it when needed
+        return buf.getvalue()[:-2]  # less the empty field's "," and the "\n"
     return str(value)
 
 
-def _emit_rows(cfg, header: list, rows: list) -> None:
-    """Write rows as CSV or JSON to cfg['out'] (stdout when unset)."""
+def _cells(col, text, cache: dict) -> list:
+    """Text of each value of a column block: ``text`` (``_fmt`` or
+    ``json.dumps``) of each list item or, cached, of each distinct string of
+    a str array; float and bool arrays are converted in bulk."""
+    if not isinstance(col, np.ndarray):
+        return list(map(text, col))
+    if col.dtype.kind == "b":
+        return np.where(col, "true", "false").tolist()
+    if col.dtype.kind == "f":
+        return list(map(repr, col.tolist()))  # repr is the shortest round-trip form
+    values = col.tolist()
+    for value in set(values).difference(cache):
+        cache[value] = text(value)
+    return list(map(cache.__getitem__, values))
+
+
+def _emit_rows(cfg, header: list, *parts) -> None:
+    """Write rows as CSV or JSON to cfg['out'] (stdout when unset).
+
+    Each part is a list of equal-length columns (arrays or sequences), one per
+    header field; the parts' rows follow each other. The bytes equal
+    ``csv.writer`` over ``_fmt`` cells, or ``json.dumps(rows_as_dicts,
+    indent=2)``. Rows are streamed in blocks of ROW_BLOCK; callers compute
+    and check every value first, so a failing run writes nothing.
+    """
     fmt = cfg["format"]
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        text = buf.getvalue()
+    if fmt == "csv":
+        row = ",".join(["%s"] * len(header))
+        head = row % tuple(map(_fmt, header)) + "\n"
+        text, sep, tail, empty = _fmt, "\n", "\n", head
+    elif fmt == "json":
+        fields = (json.dumps(name).replace("%", "%%") + ": %s" for name in header)
+        row = "  {\n    " + ",\n    ".join(fields) + "\n  }"
+        text, head, sep, tail, empty = json.dumps, "[\n", ",\n", "\n]\n", "[]\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}; expected csv or json")
-    _write_text(cfg["out"], text)
+
+    def blocks():
+        lead, cache = head, {}
+        for columns in parts:
+            for lo in range(0, len(columns[0]), ROW_BLOCK):
+                cells = [_cells(col[lo:lo + ROW_BLOCK], text, cache) for col in columns]
+                yield lead + sep.join(map(row.__mod__, zip(*cells)))
+                lead = sep
+        yield empty if lead is head else tail
+
+    _write_text(cfg["out"], blocks())
 
 
-def _write_text(out, text: str) -> None:
+def _write_text(out, chunks) -> None:
+    """Write the strings ``chunks`` in turn to the path ``out`` (stdout when None)."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
 
@@ -211,18 +257,26 @@ def _cmd_region_scan(cfg) -> int:
     system = cfg.get("system")
     axes = _gain_axes(cfg.get("gains", {}))
     try:
-        rows = sweep_criteria(system, axes, cfg.get("criteria", []), jobs=cfg["jobs"])
+        sweep = sweep_criteria(system, axes, cfg.get("criteria", []), jobs=cfg["jobs"])
     except CriterionError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    gain_names = ["G1", "G2"] if system == "tri" else ["G1", "G2", "G3"]
-    header = gain_names + ["criterion", "value", "entangled", "region"]
-    out_rows = [
-        list(r.gains) + [r.criterion, r.value, r.entangled, r.region] for r in rows
-    ]
-    _emit_rows(cfg, header, out_rows)
+    n_points, n_crits = sweep.values.shape
+    region = sweep.region if sweep.region is not None else np.full(n_points, "")
+    columns = _row_columns(sweep) + [np.repeat(region, n_crits)]
+    _emit_rows(cfg, [*sweep.axes, "criterion", "value", "entangled", "region"], columns)
     return EXIT_OK
+
+
+def _row_columns(sweep) -> list:
+    """One row per point and criterion: coordinates, label, value, verdict."""
+    n_points, n_crits = sweep.values.shape
+    return [np.repeat(x, n_crits) for x in sweep.points.T] + [
+        np.tile(np.array(sweep.labels), n_points),
+        sweep.values.ravel(),
+        sweep.entangled.ravel(),
+    ]
 
 
 def _spectrum_cases(cfg) -> list:
@@ -246,20 +300,21 @@ def _cmd_spectrum(cfg) -> int:
     if len(cases) > 1 and cfg["out"] is None:
         raise ConfigError("multiple spectrum cases need --out (one file per case)")
     header = ["delta1", "abs_rho_normalized", "abs_rho_raw", "real", "imag"]
+    spectra = []
     for case in cases:
         rho = rho3_dressed(case, params, grid)
         raw = np.abs(rho)
         top = float(raw.max())
+        if not np.isfinite(rho).all():
+            raise ConfigError(f"the {case.value} spectrum is not finite on this grid")
         normalized = raw / top if top > 0 else np.zeros_like(raw)
-        rows = [
-            [float(grid[k]), float(normalized[k]), float(raw[k]), float(rho[k].real), float(rho[k].imag)]
-            for k in range(grid.size)
-        ]
+        spectra.append((case, [grid, normalized, raw, rho.real, rho.imag]))
+    for case, columns in spectra:
         case_cfg = dict(cfg)
         if len(cases) > 1:
             path = Path(cfg["out"])
             case_cfg["out"] = str(path.with_name(f"{path.stem}_{case.value}{path.suffix}"))
-        _emit_rows(case_cfg, header, rows)
+        _emit_rows(case_cfg, header, columns)
     return EXIT_OK
 
 
@@ -323,17 +378,10 @@ def _write_channels(cfg, doc) -> None:
             "label", "delta1_analytic", "delta1_numeric", "position_diff",
             "delta2", "delta2p", "delta3", "capacity",
         ]
-        rows = [
-            [
-                ch["label"], ch["delta1_analytic"], ch["delta1_numeric"],
-                ch["position_diff"], ch["delta2"], ch["delta2p"], ch["delta3"],
-                doc["capacity"],
-            ]
-            for ch in doc["channels"]
-        ]
-        _emit_rows(cfg, header, rows)
+        columns = [[ch[name] for ch in doc["channels"]] for name in header[:-1]]
+        _emit_rows(cfg, header, columns + [[doc["capacity"]] * len(doc["channels"])])
     else:
-        _write_text(cfg["out"], json.dumps(doc, indent=2) + "\n")
+        _write_text(cfg["out"], [json.dumps(doc, indent=2) + "\n"])
 
 
 def _cmd_profile(cfg) -> int:
@@ -351,22 +399,22 @@ def _cmd_profile(cfg) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad profile gains/amplitude: {exc}") from exc
     try:
-        rows = criteria_profile(
+        prof = criteria_profile(
             system, case, params, grid, amplitude, g2, g3, cfg.get("criteria", [])
         )
     except CriterionError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    header = ["delta1", "G1", "criterion", "value", "entangled"]
-    out_rows = [[r.delta1, r.g1_amp, r.criterion, r.value, r.entangled] for r in rows]
     # channel markers: position, modulated gain there, label; appended after the data
     top = float(np.abs(rho3_dressed(case, params, grid)).max())
-    for ch in analytic_resonances(case, params):
-        g_at = float(np.cosh(amplitude * abs(rho3_dressed(case, params, ch.delta1)) / top))
-        out_rows.append([ch.delta1, g_at, f"channel:{ch.label}", ch.delta1, None])
-    _emit_rows(cfg, header, out_rows)
+    markers = [
+        (ch.delta1, float(np.cosh(amplitude * abs(rho3_dressed(case, params, ch.delta1)) / top)),
+         f"channel:{ch.label}", ch.delta1, None)
+        for ch in analytic_resonances(case, params)
+    ]
+    header = [*prof.axes, "criterion", "value", "entangled"]
+    _emit_rows(cfg, header, _row_columns(prof), list(zip(*markers)))
     return EXIT_OK
 
 
@@ -389,7 +437,7 @@ def _cmd_validate(args) -> int:
             {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
             for r in results
         ]
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.out, [json.dumps(payload, indent=2) + "\n"])
     return EXIT_OK if all_ok else EXIT_RUNTIME
 
 

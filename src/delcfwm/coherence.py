@@ -23,8 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .criteria import criterion_entangled, evaluate_criterion_batch, parse_criterion
-from .model import quad_transform_batch, tri_transform_batch
+from .criteria import Sweep, _sweep_chunk, parse_request, verdicts
 
 
 class ResonanceError(ValueError):
@@ -92,11 +91,11 @@ class AtomicParams:
         if self.omega_s3 is None:
             object.__setattr__(self, "omega_s3", self.omega_s1)
         for name in ("omega1", "omega3", "omega2", "omega_s1", "omega_s3"):
-            if not (getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be >= 0")
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("gamma31", "gamma21", "gamma32", "gamma12", "gamma23", "gamma33"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be > 0")
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0")
         for name in ("delta1", "delta1p", "delta3", "delta3p"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -362,15 +361,6 @@ def gain_profile(case, p: AtomicParams, grid, amplitude: float = 1.0):
     return grid.copy(), np.cosh(amplitude * spectrum / top)
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    delta1: float
-    g1_amp: float
-    criterion: str
-    value: float
-    entangled: bool
-
-
 def criteria_profile(
     system: str,
     case,
@@ -380,47 +370,21 @@ def criteria_profile(
     g2_amp: float,
     g3_amp: float | None = None,
     criteria=("D12",),
-) -> list:
+) -> Sweep:
     """Entanglement criteria along the deviation axis with G1 = G1(delta1).
 
     The first amplifier's gain follows the dressed spectrum via
-    :func:`gain_profile`; the remaining gains stay fixed. Rows are ordered by
-    delta1, then criterion label.
+    :func:`gain_profile`; the remaining gains stay fixed. The points are
+    (delta1, G1) in grid order. Raises ValueError when a criterion value is
+    not finite.
     """
-    if system == "tri":
-        n_modes = 3
-        if g3_amp is not None:
-            raise ValueError("three-mode profile takes no g3_amp")
-    elif system == "quad":
-        n_modes = 4
-        if g3_amp is None:
-            raise ValueError("four-mode profile requires g3_amp")
-    else:
-        raise ValueError(f"unknown system {system!r}; expected 'tri' or 'quad'")
-    labels = sorted(set(criteria))
-    if not labels:
-        raise ValueError("no criteria requested")
-    crits = [parse_criterion(lbl, n_modes) for lbl in labels]
-
+    _, crits = parse_request(system, criteria)
+    if (g3_amp is not None) != (system == "quad"):
+        raise ValueError("four-mode profiles need g3_amp and three-mode profiles take none")
     delta, g1 = gain_profile(case, p, grid, amplitude)
-    if system == "tri":
-        u = tri_transform_batch(g1, g2_amp)
-    else:
-        u = quad_transform_batch(g1, g2_amp, g3_amp)
-    sigmas = u @ u.transpose(0, 2, 1)
-    values = {c.label: evaluate_criterion_batch(sigmas, c) for c in crits}
-
-    rows = []
-    for k in range(delta.size):
-        for crit in crits:
-            val = float(values[crit.label][k])
-            rows.append(
-                ProfileRow(
-                    delta1=float(delta[k]),
-                    g1_amp=float(g1[k]),
-                    criterion=crit.label,
-                    value=val,
-                    entangled=bool(criterion_entangled(crit, val)),
-                )
-            )
-    return rows
+    fixed = [g2_amp] if g3_amp is None else [g2_amp, g3_amp]
+    gains = np.column_stack([g1] + [np.full_like(g1, g) for g in fixed])
+    values = _sweep_chunk(system, gains, crits)
+    axes, points = ("delta1", "G1"), np.column_stack([delta, g1])
+    labels = tuple(c.label for c in crits)
+    return Sweep(axes, points, labels, values, verdicts(crits, values, axes, points))

@@ -22,6 +22,7 @@ inside a three-mode state traces out mode 2 first.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -160,21 +161,30 @@ def ppt_value(sigma, part: ModeBipartition) -> PPTResult:
     return PPTResult(part, float(nus[0]))
 
 
-def classify_tri_region(gains: GainSet) -> str:
-    """Entanglement region of the three-mode source in the (G1, G2) plane.
+#: region names indexed by (D12 < 4) + 2 * (D23 < 4)
+_REGION_NAMES = np.array(["none", "I", "II", "III"])
+
+
+def tri_regions(g1_amp, g2_amp) -> np.ndarray:
+    """Entanglement regions of the three-mode source over (G1, G2) gain arrays.
 
     "I" if only D12 < 4, "II" if only D23 < 4, "III" if both, "none" otherwise
     (D13 never violates the bound).
     """
-    d12 = duan_tri_closed(gains, "12")
-    d23 = duan_tri_closed(gains, "23")
-    if d12 < DUAN_BOUND and d23 < DUAN_BOUND:
-        return "III"
-    if d12 < DUAN_BOUND:
-        return "I"
-    if d23 < DUAN_BOUND:
-        return "II"
-    return "none"
+    d12 = duan_tri_closed_grid("12", g1_amp, g2_amp) < DUAN_BOUND
+    d23 = duan_tri_closed_grid("23", g1_amp, g2_amp) < DUAN_BOUND
+    return _REGION_NAMES[d12 + 2 * d23]
+
+
+def classify_tri_region(gains):
+    """:func:`tri_regions` of one GainSet (a region name) or of an array of
+    (G1, G2) rows (an array of names)."""
+    if isinstance(gains, GainSet):
+        if gains.g3_amp is not None:
+            raise ValueError("three-mode regions take a two-gain set")
+        return str(tri_regions(gains.g1_amp, gains.g2_amp))
+    pts = np.asarray(gains, dtype=float)
+    return tri_regions(pts[..., 0], pts[..., 1])
 
 
 # --------------------------------------------------------------------------
@@ -264,12 +274,18 @@ def evaluate_criterion(sigma, crit: Criterion) -> float:
     return duan_value(sigma, crit.modes_a[0], crit.modes_b[0]).value
 
 
-def criterion_entangled(crit: Criterion, value) -> np.ndarray:
-    """Entanglement flag(s) for the raw criterion value(s); strict inequality."""
-    value = np.asarray(value)
-    if crit.kind == "duan":
-        return value < DUAN_BOUND
-    return value < 0.0
+def verdicts(crits: list, values: np.ndarray, axes: tuple, points: np.ndarray) -> np.ndarray:
+    """Entanglement flags of (points, criteria) ``values``: strictly below 4
+    (Duan) or 0 (PPT). A non-finite value raises ValueError naming its
+    label and its point, a row of ``points`` with coordinates ``axes``.
+    """
+    bad = ~np.isfinite(values)
+    if bad.any():
+        p_idx, c_idx = np.argwhere(bad)[0]
+        value = float(values[p_idx, c_idx])
+        where = ", ".join(f"{n}={v!r}" for n, v in zip(axes, points[p_idx].tolist()))
+        raise ValueError(f"criterion {crits[c_idx].label} is not finite ({value!r}) at {where}")
+    return values < np.array([DUAN_BOUND if c.kind == "duan" else 0.0 for c in crits])
 
 
 # --------------------------------------------------------------------------
@@ -286,21 +302,35 @@ class GridAxis:
     step: float
 
     def values(self) -> np.ndarray:
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise ValueError(f"grid start, stop and step must be finite, got {self}")
         if self.step <= 0:
             raise ValueError(f"grid step must be > 0, got {self.step}")
         if self.stop < self.start:
             raise ValueError("grid stop must be >= start")
-        count = int(round((self.stop - self.start) / self.step)) + 1
+        span = (self.stop - self.start) / self.step
+        if not math.isfinite(span):
+            raise ValueError(f"grid has too many points: {self}")
+        count = int(round(span)) + 1
         return self.start + self.step * np.arange(count)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    gains: tuple
-    criterion: str
-    value: float
-    entangled: bool
-    region: str
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Criteria over a list of points, as columns.
+
+    Row p of ``points`` (points, len(axes)), of ``values`` and ``entangled``
+    (points, criteria) and of ``region`` (points,) is point p; column c of
+    ``values`` is criterion ``labels[c]`` (sorted). ``region`` is None
+    except for three-mode gain sweeps.
+    """
+
+    axes: tuple
+    points: np.ndarray
+    labels: tuple
+    values: np.ndarray
+    entangled: np.ndarray
+    region: np.ndarray | None = None
 
 
 def _axis_values(axis) -> np.ndarray:
@@ -310,9 +340,21 @@ def _axis_values(axis) -> np.ndarray:
         vals = np.atleast_1d(np.asarray(axis, dtype=float))
     if vals.size == 0:
         raise ValueError("empty gain grid")
-    if np.any(~(vals >= 1.0)):
-        raise ValueError("all gains in a sweep must be >= 1")
+    if np.any(~(vals >= 1.0)) or not np.isfinite(vals).all():
+        raise ValueError("all gains in a sweep must be finite and >= 1")
     return vals
+
+
+def parse_request(system: str, criteria) -> tuple:
+    """Gain axis names of ``system`` ("tri" or "quad") and its parsed
+    criteria, sorted by label and without repeats."""
+    if system not in ("tri", "quad"):
+        raise ValueError(f"unknown system {system!r}; expected 'tri' or 'quad'")
+    names = ("G1", "G2") if system == "tri" else ("G1", "G2", "G3")
+    labels = sorted(set(criteria))
+    if not labels:
+        raise ValueError("no criteria requested")
+    return names, [parse_criterion(lbl, len(names) + 1) for lbl in labels]
 
 
 def _sweep_chunk(system: str, pts: np.ndarray, crits: list) -> np.ndarray:
@@ -324,7 +366,7 @@ def _sweep_chunk(system: str, pts: np.ndarray, crits: list) -> np.ndarray:
     return np.column_stack([evaluate_criterion_batch(sigmas, c) for c in crits])
 
 
-def sweep_criteria(system: str, axes: dict, criteria, jobs: int = 1) -> list:
+def sweep_criteria(system: str, axes: dict, criteria, jobs: int = 1) -> Sweep:
     """Evaluate criteria over a gain grid.
 
     Parameters
@@ -335,26 +377,13 @@ def sweep_criteria(system: str, axes: dict, criteria, jobs: int = 1) -> list:
     criteria : iterable of criterion label strings.
     jobs : number of worker threads; the output is identical for any value.
 
-    Rows are ordered lexicographically by grid point (G1 outermost), then by
-    criterion label.
+    Raises ValueError when a criterion value is not finite.
     """
-    if system == "tri":
-        names = ("G1", "G2")
-        n_modes = 3
-    elif system == "quad":
-        names = ("G1", "G2", "G3")
-        n_modes = 4
-    else:
-        raise ValueError(f"unknown system {system!r}; expected 'tri' or 'quad'")
+    names, crits = parse_request(system, criteria)
     missing = [k for k in names if k not in axes]
     extra = [k for k in axes if k not in names]
     if missing or extra:
         raise ValueError(f"sweep axes must be exactly {names}; missing {missing}, extra {extra}")
-    labels = sorted(set(criteria))
-    if not labels:
-        raise ValueError("no criteria requested")
-    crits = [parse_criterion(lbl, n_modes) for lbl in labels]
-
     grids = np.meshgrid(*[_axis_values(axes[k]) for k in names], indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
 
@@ -367,25 +396,6 @@ def sweep_criteria(system: str, axes: dict, criteria, jobs: int = 1) -> list:
             parts = list(pool.map(lambda idx: _sweep_chunk(system, pts[idx], crits), chunks))
         values = np.vstack(parts)
 
-    if system == "tri":
-        regions = [
-            classify_tri_region(GainSet(pt[0], pt[1])) for pt in pts
-        ]
-    else:
-        regions = [""] * pts.shape[0]
-
-    rows = []
-    for p_idx in range(pts.shape[0]):
-        gains = tuple(float(v) for v in pts[p_idx])
-        for c_idx, crit in enumerate(crits):
-            val = float(values[p_idx, c_idx])
-            rows.append(
-                SweepRow(
-                    gains=gains,
-                    criterion=crit.label,
-                    value=val,
-                    entangled=bool(criterion_entangled(crit, val)),
-                    region=regions[p_idx],
-                )
-            )
-    return rows
+    entangled = verdicts(crits, values, names, pts)
+    region = classify_tri_region(pts) if system == "tri" else None
+    return Sweep(names, pts, tuple(c.label for c in crits), values, entangled, region)

@@ -5,7 +5,8 @@ r * (a_i' a_j' - a_i a_j) of each amplifier and reconstructs quadrature
 covariances directly from expectation values. This path shares no code with
 the symplectic construction, so agreement between the two is a meaningful
 cross-check. Only small squeezing is reachable before truncation bites; the
-closed-form checks cover the high-gain regime instead.
+closed-form checks cover the high-gain regime instead. ``scipy.sparse`` is
+imported on first use: it costs more than the rest of the package's import.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 #: hard cap on the squeezing parameter per evolution (safe at cutoff 12)
 MAX_SQUEEZING = 0.35
@@ -68,13 +67,15 @@ def vacuum_state(n_modes: int, cutoff: int) -> TruncatedState:
 
 
 @lru_cache(maxsize=None)
-def _lowering(cutoff: int) -> sp.csr_matrix:
+def _lowering(cutoff: int):
+    import scipy.sparse as sp
     return sp.diags(np.sqrt(np.arange(1, cutoff)), offsets=1, format="csr")
 
 
 @lru_cache(maxsize=None)
-def _mode_lowering(n_modes: int, cutoff: int, mode: int) -> sp.csr_matrix:
+def _mode_lowering(n_modes: int, cutoff: int, mode: int):
     """Annihilation operator of one mode on the full tensor space (mode 1 = slowest axis)."""
+    import scipy.sparse as sp
     op = sp.identity(1, format="csr")
     for m in range(1, n_modes + 1):
         factor = _lowering(cutoff) if m == mode else sp.identity(cutoff, format="csr")
@@ -103,6 +104,7 @@ def evolve_tms(state: TruncatedState, i: int, j: int, r: float) -> TruncatedStat
         raise ValueError(f"squeezing parameter must be in [0, {MAX_SQUEEZING}], got {r}")
     if r == 0.0:
         return TruncatedState(n, cutoff, state.amplitudes.copy(), state.leakage)
+    from scipy.sparse.linalg import expm_multiply
     a_i = _mode_lowering(n, cutoff, i)
     a_j = _mode_lowering(n, cutoff, j)
     pair_down = a_i @ a_j

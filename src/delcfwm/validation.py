@@ -53,40 +53,38 @@ class CheckResult:
     seconds: float
 
 
+#: reference gain axes: [1, 3] step 0.01 (three-mode), [1, 2] step 0.02 (four-mode)
+TRI_AXIS = 1.0 + 0.01 * np.arange(201)
+QUAD_AXIS = 1.0 + 0.02 * np.arange(51)
+
+
 def _tri_grid():
-    v = 1.0 + 0.01 * np.arange(201)  # [1, 3] step 0.01
-    big1, big2 = np.meshgrid(v, v, indexing="ij")
+    big1, big2 = np.meshgrid(TRI_AXIS, TRI_AXIS, indexing="ij")
     return big1.ravel(), big2.ravel()
 
 
 def _quad_grid():
-    v = 1.0 + 0.02 * np.arange(51)  # [1, 2] step 0.02
-    big1, big2, big3 = np.meshgrid(v, v, v, indexing="ij")
+    big1, big2, big3 = np.meshgrid(QUAD_AXIS, QUAD_AXIS, QUAD_AXIS, indexing="ij")
     return big1.ravel(), big2.ravel(), big3.ravel()
 
 
-def _duan_from_sigmas(sigmas, pair):
-    crit = criteria.parse_criterion(f"D{pair}", sigmas.shape[-1] // 2)
-    return criteria.evaluate_criterion_batch(sigmas, crit)
+def _sweep(system, axis, labels):
+    """Criteria over the full reference grid of ``system``."""
+    names = ("G1", "G2") if system == "tri" else ("G1", "G2", "G3")
+    return criteria.sweep_criteria(system, dict.fromkeys(names, axis), labels)
 
 
 def check_closed_form():
     """CM-derived Duan values equal the closed forms on the reference grids."""
-    g1, g2 = _tri_grid()
-    u = model.tri_transform_batch(g1, g2)
-    sig = u @ u.transpose(0, 2, 1)
     worst = 0.0
-    for pair in TRI_PAIRS:
-        diff = np.abs(_duan_from_sigmas(sig, pair) - criteria.duan_tri_closed_grid(pair, g1, g2))
-        worst = max(worst, float(diff.max()))
-    q1, q2, q3 = _quad_grid()
-    u = model.quad_transform_batch(q1, q2, q3)
-    sig = u @ u.transpose(0, 2, 1)
-    for pair in QUAD_PAIRS:
-        diff = np.abs(
-            _duan_from_sigmas(sig, pair) - criteria.duan_quad_closed_grid(pair, q1, q2, q3)
-        )
-        worst = max(worst, float(diff.max()))
+    for system, axis, pairs, closed in (
+        ("tri", TRI_AXIS, TRI_PAIRS, criteria.duan_tri_closed_grid),
+        ("quad", QUAD_AXIS, QUAD_PAIRS, criteria.duan_quad_closed_grid),
+    ):
+        sweep = _sweep(system, axis, [f"D{pair}" for pair in pairs])
+        for c_idx, pair in enumerate(pairs):  # pairs are sorted, like the labels
+            diff = np.abs(sweep.values[:, c_idx] - closed(pair, *sweep.points.T))
+            worst = max(worst, float(diff.max()))
     return worst < 1e-9, f"max |CM Duan - closed form| = {worst:.3e} (tol 1e-9)"
 
 
@@ -120,13 +118,7 @@ def check_purity():
 
 def check_separability_1_3():
     """Modes 1 and 3 of the three-mode source never entangle for G1, G2 > 1."""
-    v = 1.0 + 0.01 * np.arange(1, 201)  # interior of the [1, 3] grid
-    g1, g2 = (a.ravel() for a in np.meshgrid(v, v, indexing="ij"))
-    u = model.tri_transform_batch(g1, g2)
-    sig = u @ u.transpose(0, 2, 1)
-    d13 = _duan_from_sigmas(sig, "13")
-    crit = criteria.parse_criterion("PPT:1|3", 3)
-    ppt = criteria.evaluate_criterion_batch(sig, crit)
+    d13, ppt = _sweep("tri", TRI_AXIS[1:], ["D13", "PPT:1|3"]).values.T  # interior of the grid
     ok = bool(np.all(d13 > 4.0) and np.all(ppt >= 0.0))
     return ok, f"min D13 = {d13.min():.6f} (> 4), min PPT value = {ppt.min():.3e} (>= 0)"
 
@@ -134,10 +126,10 @@ def check_separability_1_3():
 def check_tri_regions():
     """The (G1, G2) plane shows all three entanglement regions, with witnesses."""
     v = 1.0 + 0.02 * np.arange(101)
+    regions = criteria.tri_regions(*np.meshgrid(v, v, indexing="ij"))
+    names, n = np.unique(regions, return_counts=True)
     counts = {"I": 0, "II": 0, "III": 0, "none": 0}
-    for b1 in v:
-        for b2 in v:
-            counts[criteria.classify_tri_region(model.GainSet(float(b1), float(b2)))] += 1
+    counts.update(zip(names.tolist(), n.tolist()))
     witnesses = {
         (1.2, 1.0001): "I",
         (1.05, 2.0): "II",
@@ -153,26 +145,21 @@ def check_tri_regions():
 
 def check_quad_structure():
     """Four-mode identities and the sign structure at G2=1.3, G3=1.1."""
-    q1, q2, q3 = _quad_grid()
-    u = model.quad_transform_batch(q1, q2, q3)
-    sig = u @ u.transpose(0, 2, 1)
-    shape3 = (51, 51, 51)
-    d13 = _duan_from_sigmas(sig, "13").reshape(shape3)
-    d24 = _duan_from_sigmas(sig, "24").reshape(shape3)
+    duan = _sweep("quad", QUAD_AXIS, ["D13", "D14", "D23", "D24"]).values
+    d13, d14, d23, d24 = duan.T.reshape((4,) + (QUAD_AXIS.size,) * 3)  # axes G1, G2, G3
     sym_diff = float(np.abs(d13 - d24).max())
-    d14 = _duan_from_sigmas(sig, "14").reshape(shape3)
-    d23 = _duan_from_sigmas(sig, "23").reshape(shape3)
     d14_spread = float(np.ptp(d14, axis=1).max())  # along G2
     d23_spread = float(np.ptp(d23, axis=2).max())  # along G3
 
     g1_axis = 1.0 + 0.01 * np.arange(1, 101)  # (1, 2]
-    rows = criteria.sweep_criteria(
+    sweep = criteria.sweep_criteria(
         "quad",
         {"G1": g1_axis, "G2": 1.3, "G3": 1.1},
         QUAD_ENTANGLED + QUAD_SEPARABLE,
     )
-    ent_max = max(r.value for r in rows if r.criterion in QUAD_ENTANGLED)
-    sep_min = min(r.value for r in rows if r.criterion in QUAD_SEPARABLE)
+    must_entangle = np.isin(sweep.labels, QUAD_ENTANGLED)
+    ent_max = float(sweep.values[:, must_entangle].max())
+    sep_min = float(sweep.values[:, ~must_entangle].min())
 
     # some separable splits sit exactly on the boundary (value 0), so the
     # nonnegativity assertion carries an eigensolver-roundoff guard

@@ -12,6 +12,7 @@ from delcfwm import (
     deviation_quadruple,
     deviation_tuple,
     duan_tri_closed,
+    duan_tri_closed_grid,
     find_peaks,
     gain_profile,
     rho3_denominator,
@@ -293,28 +294,30 @@ class TestCriteriaProfile:
     GRID = np.arange(-50.0, 40.0 + 1e-9, 0.2)
 
     def test_zero_amplitude_flat(self):
-        rows = criteria_profile(
+        prof = criteria_profile(
             "tri", "rho2_e1", AtomicParams(), self.GRID, 0.0, 1.2, criteria=["D12", "D23"]
         )
         baseline = {
             "D12": duan_tri_closed(GainSet(1.0, 1.2), "12"),
             "D23": duan_tri_closed(GainSet(1.0, 1.2), "23"),
         }
-        for row in rows:
-            assert row.g1_amp == 1.0
-            assert row.value == pytest.approx(baseline[row.criterion], abs=1e-12)
+        assert prof.axes == ("delta1", "G1") and prof.region is None
+        assert np.all(prof.points[:, 1] == 1.0)
+        assert prof.values.shape == (self.GRID.size, 2)
+        for c_idx, label in enumerate(prof.labels):
+            assert prof.values[:, c_idx] == pytest.approx(baseline[label], abs=1e-12)
 
     def test_modes_1_3_never_violate(self):
-        rows = criteria_profile(
+        prof = criteria_profile(
             "tri", "rho2_e1", AtomicParams(), self.GRID, 1.0, 1.2, criteria=["D13"]
         )
-        assert all(row.value > 4.0 for row in rows)
+        assert np.all(prof.values > 4.0)
+        assert not prof.entangled.any()
 
     def test_criterion_extrema_sit_on_channels(self):
         p = AtomicParams()
-        rows = criteria_profile("tri", "rho2_e1", p, self.GRID, 1.0, 1.2, criteria=["D12"])
-        values = np.array([r.value for r in rows])
-        delta = np.array([r.delta1 for r in rows])
+        prof = criteria_profile("tri", "rho2_e1", p, self.GRID, 1.0, 1.2, criteria=["D12"])
+        values, delta = prof.values[:, 0], prof.points[:, 0]
         interior = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
         minima = delta[1:-1][interior]
         channels = [ch.delta1 for ch in analytic_resonances("rho2_e1", p)]
@@ -323,7 +326,7 @@ class TestCriteriaProfile:
             assert abs(pos - ch) < 2.0
 
     def test_quad_profile_entangled_bipartitions(self):
-        rows = criteria_profile(
+        prof = criteria_profile(
             "quad",
             "rho2_e1",
             AtomicParams(),
@@ -333,14 +336,33 @@ class TestCriteriaProfile:
             1.1,
             criteria=["PPT:1|234", "PPT:12|34"],
         )
-        assert all(row.value < 0.0 for row in rows)
+        assert np.all(prof.values < 0.0)
+        assert np.all(prof.entangled)
 
     def test_row_ordering(self):
-        rows = criteria_profile(
+        prof = criteria_profile(
             "tri", "rho2_e1", AtomicParams(), self.GRID, 1.0, 1.2, criteria=["D23", "D12"]
         )
-        key = [(r.delta1, r.criterion) for r in rows]
-        assert key == sorted(key)
+        assert prof.labels == ("D12", "D23")
+        assert np.array_equal(prof.points[:, 0], self.GRID)
+        assert np.all(np.diff(prof.points[:, 0]) > 0)
+
+    def test_columns_follow_gain_profile(self):
+        p = AtomicParams()
+        prof = criteria_profile("tri", "rho2_e1", p, self.GRID, 1.0, 1.2, criteria=["D12", "D23"])
+        delta, g1 = gain_profile("rho2_e1", p, self.GRID, 1.0)
+        assert np.array_equal(prof.points, np.column_stack([delta, g1]))
+        for c_idx, pair in enumerate(("12", "23")):
+            assert prof.values[:, c_idx] == pytest.approx(
+                duan_tri_closed_grid(pair, g1, 1.2), abs=1e-9
+            )
+        assert np.array_equal(prof.entangled, prof.values < 4.0)
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(ValueError, match=r"D12 is not finite .* at delta1="):
+            criteria_profile(
+                "tri", "rho2_e1", AtomicParams(), self.GRID, 1.0, 1e200, criteria=["D12"]
+            )
 
     def test_system_gain_mismatch_rejected(self):
         with pytest.raises(ValueError):

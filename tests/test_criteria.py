@@ -18,6 +18,7 @@ from delcfwm import (
     ppt_value,
     reduced_cm,
     sweep_criteria,
+    tri_regions,
     two_mode_squeezer,
     vacuum_cm,
 )
@@ -213,6 +214,23 @@ class TestRegionClassifier:
     def test_witness_points(self, gains, region):
         assert classify_tri_region(GainSet(*gains)) == region
 
+    def test_vectorised_matches_scalar_definition(self):
+        v = 1.0 + 0.05 * np.arange(41)
+        g1, g2 = np.meshgrid(v, v, indexing="ij")
+        regions = tri_regions(g1, g2)
+        assert regions.shape == g1.shape
+        for k in np.ndindex(g1.shape):
+            gains = GainSet(float(g1[k]), float(g2[k]))
+            d12 = duan_tri_closed(gains, "12") < DUAN_BOUND
+            d23 = duan_tri_closed(gains, "23") < DUAN_BOUND
+            want = "III" if d12 and d23 else "I" if d12 else "II" if d23 else "none"
+            assert regions[k] == want
+        assert set(regions.ravel().tolist()) == {"I", "II", "III", "none"}
+
+    def test_four_gain_set_rejected(self):
+        with pytest.raises(ValueError):
+            classify_tri_region(GainSet(1.2, 1.3, 1.1))
+
 
 class TestCriterionParsing:
     def test_duan_label(self):
@@ -252,39 +270,72 @@ class TestCriterionParsing:
 
 class TestSweep:
     def test_single_point_reduces_to_single_evaluation(self):
-        rows = sweep_criteria("tri", {"G1": 1.2, "G2": 1.3}, ["D13"])
-        assert len(rows) == 1
-        assert rows[0].gains == (1.2, 1.3)
-        assert rows[0].value == pytest.approx(9.7344, rel=1e-12)
-        assert not rows[0].entangled
+        sweep = sweep_criteria("tri", {"G1": 1.2, "G2": 1.3}, ["D13"])
+        assert sweep.labels == ("D13",) and sweep.axes == ("G1", "G2")
+        assert sweep.points.tolist() == [[1.2, 1.3]]
+        assert sweep.values.shape == sweep.entangled.shape == (1, 1)
+        assert sweep.values[0, 0] == pytest.approx(9.7344, rel=1e-12)
+        assert not sweep.entangled[0, 0]
 
     def test_d13_above_bound_except_boundary(self):
         axis = GridAxis(1.0, 3.0, 0.05)
-        rows = sweep_criteria("tri", {"G1": axis, "G2": axis}, ["D13"])
-        for row in rows:
-            if row.gains == (1.0, 1.0):
-                assert row.value == pytest.approx(4.0, abs=1e-12)
+        sweep = sweep_criteria("tri", {"G1": axis, "G2": axis}, ["D13"])
+        assert sweep.points.shape == (41 * 41, 2)
+        for gains, value in zip(sweep.points.tolist(), sweep.values[:, 0]):
+            if gains == [1.0, 1.0]:
+                assert value == pytest.approx(4.0, abs=1e-12)
             else:
-                assert row.value > 4.0
+                assert value > 4.0
 
     def test_quad_ppt_preset_line(self):
-        rows = sweep_criteria(
+        sweep = sweep_criteria(
             "quad",
             {"G1": GridAxis(1.1, 2.0, 0.1), "G2": 1.3, "G3": 1.1},
             ["PPT:12|34", "PPT:1|234"],
         )
-        assert all(row.value < 0.0 for row in rows)
+        assert sweep.axes == ("G1", "G2", "G3") and sweep.values.shape == (10, 2)
+        assert np.all(sweep.values < 0.0)
+        assert np.all(sweep.entangled)
+        assert sweep.region is None
 
     def test_row_ordering(self):
-        rows = sweep_criteria(
-            "tri", {"G1": GridAxis(1.0, 1.1, 0.1), "G2": GridAxis(1.0, 1.1, 0.1)}, ["D12", "D13"]
+        sweep = sweep_criteria(
+            "tri", {"G1": GridAxis(1.0, 1.1, 0.1), "G2": GridAxis(1.0, 1.1, 0.1)}, ["D13", "D12"]
         )
-        key = [(r.gains, r.criterion) for r in rows]
-        assert key == sorted(key)
+        assert sweep.labels == ("D12", "D13")
+        key = [(tuple(g), lbl) for g in sweep.points.tolist() for lbl in sweep.labels]
+        assert key == sorted(key) and len(set(key)) == 4 * 2
+        assert sweep.points[:, 0].tolist() == [1.0, 1.0, 1.1, 1.1]  # G1 outermost
+
+    def test_values_match_evaluate_criterion(self):
+        sweep = sweep_criteria(
+            "tri", {"G1": GridAxis(1.0, 1.4, 0.2), "G2": 1.3}, ["D12", "PPT:1|23", "PPT:1|3"]
+        )
+        for p_idx, (g1, g2) in enumerate(sweep.points.tolist()):
+            sigma = tri_cm(g1, g2)
+            for c_idx, label in enumerate(sweep.labels):
+                want = evaluate_criterion(sigma, parse_criterion(label, 3))
+                assert sweep.values[p_idx, c_idx] == pytest.approx(want, abs=1e-10)
+
+    def test_verdicts_are_strict_bound_comparisons(self):
+        axis = GridAxis(1.0, 2.0, 0.1)
+        sweep = sweep_criteria("tri", {"G1": axis, "G2": axis}, ["D12", "D23", "PPT:1|23"])
+        bounds = [DUAN_BOUND, DUAN_BOUND, 0.0]
+        assert sweep.entangled.dtype == bool
+        assert np.array_equal(sweep.entangled, sweep.values < np.array(bounds))
+        assert sweep.entangled.any() and not sweep.entangled.all()
 
     def test_region_column(self):
-        rows = sweep_criteria("tri", {"G1": 1.3, "G2": 1.05}, ["D12"])
-        assert rows[0].region == "III"
+        sweep = sweep_criteria("tri", {"G1": 1.3, "G2": 1.05}, ["D12"])
+        assert sweep.region.tolist() == ["III"]
+
+    def test_region_column_matches_scalar_classifier(self):
+        axis = GridAxis(1.0, 3.0, 0.1)
+        sweep = sweep_criteria("tri", {"G1": axis, "G2": axis}, ["D13"])
+        assert sweep.region.shape == (21 * 21,)
+        assert sweep.region.tolist() == [
+            classify_tri_region(GainSet(g1, g2)) for g1, g2 in sweep.points.tolist()
+        ]
 
     def test_unknown_label_rejected(self):
         with pytest.raises(CriterionError):
@@ -303,6 +354,28 @@ class TestSweep:
     def test_parallel_rows_identical(self):
         axes = {"G1": GridAxis(1.0, 1.5, 0.05), "G2": GridAxis(1.0, 1.5, 0.05)}
         labels = ["D12", "D23", "PPT:1|23"]
-        assert sweep_criteria("tri", axes, labels, jobs=1) == sweep_criteria(
-            "tri", axes, labels, jobs=3
-        )
+        one = sweep_criteria("tri", axes, labels, jobs=1)
+        three = sweep_criteria("tri", axes, labels, jobs=3)
+        assert one.labels == three.labels
+        for name in ("points", "values", "entangled", "region"):
+            assert np.array_equal(getattr(one, name), getattr(three, name)), name
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"G1": GridAxis(1.0, float("inf"), 0.1), "G2": 1.2},
+            {"G1": GridAxis(1.0, 2.0, float("nan")), "G2": 1.2},
+            {"G1": float("inf"), "G2": 1.2},
+        ],
+    )
+    def test_non_finite_gains_rejected(self, axes):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_criteria("tri", axes, ["D12"])
+
+    def test_overflowing_point_count_rejected(self):
+        with pytest.raises(ValueError, match="too many points"):
+            sweep_criteria("tri", {"G1": GridAxis(1.0, 1e300, 1e-300), "G2": 1.2}, ["D12"])
+
+    def test_non_finite_value_names_label_and_point(self):
+        with pytest.raises(ValueError, match=r"D12 is not finite .* at G1=1e\+200, G2=1.2"):
+            sweep_criteria("tri", {"G1": 1e200, "G2": 1.2}, ["D12", "D13"])

@@ -190,13 +190,17 @@ def _fmt(value) -> str:
 def _cells(col, text, cache: dict) -> list:
     """Text of each value of a column block: ``text`` (``_fmt`` or
     ``json.dumps``) of each list item or, cached, of each distinct string of
-    a str array; float and bool arrays are converted in bulk."""
+    a str array; bool arrays are converted in bulk, and float arrays format
+    each distinct value once (gain columns repeat it once per criterion)."""
     if not isinstance(col, np.ndarray):
         return list(map(text, col))
     if col.dtype.kind == "b":
         return np.where(col, "true", "false").tolist()
     if col.dtype.kind == "f":
-        return list(map(repr, col.tolist()))  # repr is the shortest round-trip form
+        # distinct bit patterns, so that 0.0 and -0.0 keep their own text
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        texts = list(map(repr, bits.view(float).tolist()))  # shortest round-trip form
+        return np.array(texts, dtype=object)[inverse].tolist()
     values = col.tolist()
     for value in set(values).difference(cache):
         cache[value] = text(value)
@@ -258,8 +262,6 @@ def _cmd_region_scan(cfg) -> int:
     axes = _gain_axes(cfg.get("gains", {}))
     try:
         sweep = sweep_criteria(system, axes, cfg.get("criteria", []), jobs=cfg["jobs"])
-    except CriterionError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     n_points, n_crits = sweep.values.shape
@@ -402,8 +404,6 @@ def _cmd_profile(cfg) -> int:
         prof = criteria_profile(
             system, case, params, grid, amplitude, g2, g3, cfg.get("criteria", [])
         )
-    except CriterionError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # channel markers: position, modulated gain there, label; appended after the data

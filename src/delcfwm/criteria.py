@@ -33,8 +33,6 @@ from .gaussian import (
     _as_cm,
     _min_symplectic_eigenvalue_batch,
     partial_transpose,
-    reduced_cm,
-    symplectic_eigenvalues,
 )
 from .model import GainSet, quad_transform_batch, tri_transform_batch
 
@@ -75,24 +73,13 @@ class PPTResult:
         return SUFFICIENT_ONLY
 
 
-def _quad_indices(sigma: np.ndarray, mode: int) -> tuple[int, int]:
-    n = sigma.shape[-1] // 2
-    if not (1 <= mode <= n):
-        raise ValueError(f"mode {mode} out of range 1..{n}")
-    return 2 * (mode - 1), 2 * (mode - 1) + 1
-
-
 def duan_value(sigma, i: int, j: int) -> DuanResult:
     """Evaluate D_ij = V(Xi - Xj) + V(Pi + Pj) on a covariance matrix."""
     sigma = _as_cm(sigma)
-    if i == j:
-        raise ValueError("Duan criterion needs two distinct modes")
-    xi, pi = _quad_indices(sigma, i)
-    xj, pj = _quad_indices(sigma, j)
-    value = (
-        sigma[xi, xi] + sigma[xj, xj] - 2.0 * sigma[xi, xj]
-        + sigma[pi, pi] + sigma[pj, pj] + 2.0 * sigma[pi, pj]
-    )
+    n = sigma.shape[0] // 2
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"Duan criterion needs two distinct modes in 1..{n}, got {i} and {j}")
+    value = evaluate_criterion_batch(sigma[None], Criterion("duan", (i,), (j,), f"D{i}{j}"))[0]
     return DuanResult(i, j, float(value))
 
 
@@ -156,9 +143,8 @@ def duan_quad_closed(gains: GainSet, pair: str) -> float:
 
 def ppt_value(sigma, part: ModeBipartition) -> PPTResult:
     """PPT value (smallest symplectic eigenvalue of the partial transpose, minus 1)."""
-    sig_pt = partial_transpose(sigma, part)
-    nus = symplectic_eigenvalues(sig_pt)
-    return PPTResult(part, float(nus[0]))
+    nu_min = _min_symplectic_eigenvalue_batch(partial_transpose(sigma, part)[None])
+    return PPTResult(part, float(nu_min[0]))
 
 
 #: region names indexed by (D12 < 4) + 2 * (D23 < 4)
@@ -237,41 +223,58 @@ def parse_criterion(label: str, n_modes: int) -> Criterion:
     raise CriterionError(f"unknown criterion label {label!r}")
 
 
-def evaluate_criterion_batch(sigmas: np.ndarray, crit: Criterion) -> np.ndarray:
-    """Evaluate one criterion on a stack of covariance matrices (..., 2n, 2n)."""
+def _pure_split_value(block: np.ndarray) -> np.ndarray:
+    """PPT value of 1|n-1 splits of pure states from the single mode's
+    reduced CMs ``block`` (..., 2, 2).
+
+    By the mode-wise normal form of pure Gaussian states (Holevo & Werner,
+    PRA 63, 032312 (2001); Botero & Reznik, PRA 67, 052311 (2003)), the
+    partial transpose has smallest symplectic eigenvalue
+    1/(nu + sqrt(nu^2 - 1)), with nu^2 = det of the mode's CM = ab - c^2.
+    A determinant below 1 by more than its roundoff bound,
+    64 eps (|ab| + |c^2|), raises ValueError.
+    """
+    ab = block[..., 0, 0] * block[..., 1, 1]
+    cc = block[..., 0, 1] * block[..., 1, 0]
+    nu2 = ab - cc
+    if np.any(nu2 < 1.0 - 64 * np.finfo(float).eps * (np.abs(ab) + np.abs(cc))):
+        raise ValueError("a single-mode reduced covariance matrix has determinant below 1")
+    return 1.0 / (np.sqrt(nu2) + np.sqrt(np.maximum(nu2 - 1.0, 0.0))) - 1.0
+
+
+def evaluate_criterion_batch(sigmas: np.ndarray, crit: Criterion, pure: bool = False) -> np.ndarray:
+    """Evaluate one criterion on a stack of covariance matrices (..., 2n, 2n).
+
+    ``pure`` states that every matrix is the CM of a pure state (U U^T of
+    a symplectic U): a PPT split of one mode against all others then takes
+    the closed form :func:`_pure_split_value`. Every other PPT label takes
+    the smallest symplectic eigenvalue of the reduced, partially transposed
+    CM (:func:`~delcfwm.gaussian._min_symplectic_eigenvalue_batch`).
+    """
     n = sigmas.shape[-1] // 2
     if crit.kind == "duan":
-        (i,), (j,) = crit.modes_a, crit.modes_b
-        xi, pi = 2 * (i - 1), 2 * (i - 1) + 1
-        xj, pj = 2 * (j - 1), 2 * (j - 1) + 1
+        xi, xj = 2 * crit.modes_a[0] - 2, 2 * crit.modes_b[0] - 2
+        pi, pj = xi + 1, xj + 1
         return (
             sigmas[..., xi, xi] + sigmas[..., xj, xj] - 2.0 * sigmas[..., xi, xj]
             + sigmas[..., pi, pi] + sigmas[..., pj, pj] + 2.0 * sigmas[..., pi, pj]
         )
-    kept = sorted(set(crit.modes_a) | set(crit.modes_b))
+    kept = sorted(crit.modes_a + crit.modes_b)
+    single = min(crit.modes_a, crit.modes_b, key=len)
+    if pure and len(kept) == n and len(single) == 1:
+        q = 2 * single[0] - 2
+        return _pure_split_value(sigmas[..., q:q + 2, q:q + 2])
     if len(kept) < n:
-        idx = [q for m in kept for q in (2 * (m - 1), 2 * (m - 1) + 1)]
+        idx = [q for m in kept for q in (2 * m - 2, 2 * m - 1)]
         sigmas = sigmas[..., idx, :][..., :, idx]
-    remap = {m: k + 1 for k, m in enumerate(kept)}
-    signs = np.ones(2 * len(kept))
-    for m in crit.modes_a:
-        signs[2 * (remap[m] - 1) + 1] = -1.0
-    flipped = signs[:, None] * sigmas * signs[None, :]
-    return _min_symplectic_eigenvalue_batch(flipped) - 1.0
+    # partial transposition on side A flips the sign of its modes' P rows and columns
+    signs = np.array([-1.0 if p and m in crit.modes_a else 1.0 for m in kept for p in (0, 1)])
+    return _min_symplectic_eigenvalue_batch(signs[:, None] * sigmas * signs[None, :]) - 1.0
 
 
 def evaluate_criterion(sigma, crit: Criterion) -> float:
-    """Scalar version of :func:`evaluate_criterion_batch` for a single state."""
-    sigma = _as_cm(sigma)
-    if crit.kind == "ppt":
-        kept = sorted(set(crit.modes_a) | set(crit.modes_b))
-        n = sigma.shape[0] // 2
-        if len(kept) < n:
-            sigma = reduced_cm(sigma, kept)
-        remap = {m: k + 1 for k, m in enumerate(kept)}
-        part = ModeBipartition(len(kept), frozenset(remap[m] for m in crit.modes_a))
-        return ppt_value(sigma, part).value
-    return duan_value(sigma, crit.modes_a[0], crit.modes_b[0]).value
+    """:func:`evaluate_criterion_batch` of a single state."""
+    return float(evaluate_criterion_batch(_as_cm(sigma)[None], crit)[0])
 
 
 def verdicts(crits: list, values: np.ndarray, axes: tuple, points: np.ndarray) -> np.ndarray:
@@ -358,12 +361,19 @@ def parse_request(system: str, criteria) -> tuple:
 
 
 def _sweep_chunk(system: str, pts: np.ndarray, crits: list) -> np.ndarray:
-    if system == "tri":
-        u = tri_transform_batch(pts[:, 0], pts[:, 1])
-    else:
-        u = quad_transform_batch(pts[:, 0], pts[:, 1], pts[:, 2])
-    sigmas = u @ u.transpose(0, 2, 1)
-    return np.column_stack([evaluate_criterion_batch(sigmas, c) for c in crits])
+    """Values (points, criteria) of the pure output states at the gains
+    ``pts``; NaN at points whose covariance matrix is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if system == "tri":
+            u = tri_transform_batch(pts[:, 0], pts[:, 1])
+        else:
+            u = quad_transform_batch(pts[:, 0], pts[:, 1], pts[:, 2])
+        sigmas = u @ u.transpose(0, 2, 1)
+        bad = ~np.isfinite(sigmas).all(axis=(1, 2))
+        sigmas[bad] = np.eye(sigmas.shape[-1])  # a valid stand-in, so no kernel sees inf or NaN
+        values = np.column_stack([evaluate_criterion_batch(sigmas, c, pure=True) for c in crits])
+    values[bad] = np.nan
+    return values
 
 
 def sweep_criteria(system: str, axes: dict, criteria, jobs: int = 1) -> Sweep:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: tolerance for the +/- modulus pairing of the eigenvalues of Omega @ sigma
+#: tolerance for the +/- pairing of the eigenvalues of i L^T Omega L (sigma = L L^T)
 PAIRING_TOL = 1e-8
 
 #: symmetry tolerance accepted on covariance-matrix inputs
@@ -112,56 +112,59 @@ def evolve_cm(u, sigma_in) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _paired_moduli(moduli: np.ndarray) -> tuple[np.ndarray, float]:
-    """Collapse sorted eigenvalue moduli (last axis) into +/- pairs.
+#: matrices per block of the Hermitian eigensolve, which bounds its complex temporaries
+EIG_BLOCK = 1024
 
-    Returns the pair means and the worst in-pair mismatch.
+
+def _symplectic_spectrum(sigmas: np.ndarray) -> tuple[np.ndarray, float]:
+    """Symplectic eigenvalues (ascending, last axis) of a stack of covariance
+    matrices (..., 2n, 2n), and the worst +/- pairing residual.
+
+    With sigma = L L^T (Cholesky), the Hermitian matrix i L^T Omega L has
+    the eigenvalues +/-nu_k; each pair is averaged. The stack is solved in
+    blocks of EIG_BLOCK matrices. A matrix that is not finite or not
+    positive definite, or a pairing mismatch above PAIRING_TOL (relative to
+    the largest eigenvalue), raises ValueError: the input is not a valid
+    covariance matrix. Symmetry is the caller's responsibility.
     """
-    n2 = moduli.shape[-1]
-    pairs = moduli.reshape(moduli.shape[:-1] + (n2 // 2, 2))
-    residual = float(np.max(np.abs(pairs[..., 1] - pairs[..., 0])))
-    return pairs.mean(axis=-1), residual
+    n = sigmas.shape[-1] // 2
+    flat = sigmas.reshape((-1, 2 * n, 2 * n))
+    omega = symplectic_form(n)
+    nus = np.empty((flat.shape[0], n))
+    residual = scale = 0.0
+    for lo in range(0, flat.shape[0], EIG_BLOCK):
+        block = flat[lo:lo + EIG_BLOCK]
+        if not np.isfinite(block).all():
+            raise ValueError("covariance matrix is not finite")
+        try:
+            low = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "covariance matrix is not positive definite; input is not a valid covariance matrix"
+            ) from None
+        eigs = np.linalg.eigvalsh(1j * (low.transpose(0, 2, 1) @ omega @ low))
+        pos, neg = eigs[:, n:], -eigs[:, n - 1::-1]
+        residual = max(residual, float(np.max(np.abs(pos - neg))))
+        scale = max(scale, float(pos[:, -1].max()))
+        nus[lo:lo + EIG_BLOCK] = (pos + neg) / 2.0
+    if residual > PAIRING_TOL * max(1.0, scale):
+        raise ValueError(
+            f"symplectic eigenvalues do not pair up (+/- pairing residual {residual:.3e}); "
+            "input is not a valid covariance matrix"
+        )
+    return nus.reshape(sigmas.shape[:-2] + (n,)), residual
 
 
 def symplectic_eigenvalues(sigma, return_residual: bool = False):
-    """Symplectic eigenvalues of a covariance matrix, ascending.
-
-    Computed as the moduli of the eigenvalues of Omega @ sigma, which come in
-    +/- pairs; each pair is averaged. A pairing mismatch above PAIRING_TOL
-    (relative to the largest eigenvalue) means the input is not a valid
-    covariance matrix and raises ValueError.
-    """
-    sigma = _as_cm(sigma)
-    n = sigma.shape[0] // 2
-    eigs = np.linalg.eigvals(symplectic_form(n) @ sigma)
-    moduli = np.sort(np.abs(eigs))
-    nus, residual = _paired_moduli(moduli)
-    scale = max(1.0, float(moduli[-1]))
-    if residual > PAIRING_TOL * scale:
-        raise ValueError(
-            f"eigenvalues of Omega @ sigma do not pair up (+/- pairing residual "
-            f"{residual:.3e}); input is not a valid covariance matrix"
-        )
-    if return_residual:
-        return nus, residual
-    return nus
+    """Symplectic eigenvalues of a covariance matrix, ascending, as computed
+    by :func:`_symplectic_spectrum` (which raises ValueError on invalid input)."""
+    nus, residual = _symplectic_spectrum(_as_cm(sigma)[None])
+    return (nus[0], residual) if return_residual else nus[0]
 
 
 def _min_symplectic_eigenvalue_batch(sigmas: np.ndarray) -> np.ndarray:
-    """Smallest symplectic eigenvalue for a stack of covariance matrices.
-
-    ``sigmas`` has shape (..., 2m, 2m); symmetry is the caller's responsibility.
-    """
-    n = sigmas.shape[-1] // 2
-    eigs = np.linalg.eigvals(symplectic_form(n) @ sigmas)
-    moduli = np.sort(np.abs(eigs), axis=-1)
-    _, residual = _paired_moduli(moduli)
-    scale = max(1.0, float(moduli.max()))
-    if residual > PAIRING_TOL * scale:
-        raise ValueError(
-            f"symplectic eigenvalue pairing failed on batch (residual {residual:.3e})"
-        )
-    return moduli[..., :2].mean(axis=-1)
+    """Smallest symplectic eigenvalue of each matrix of a stack (..., 2m, 2m)."""
+    return _symplectic_spectrum(sigmas)[0][..., 0]
 
 
 def partial_transpose(sigma, part: ModeBipartition) -> np.ndarray:

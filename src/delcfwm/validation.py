@@ -58,14 +58,11 @@ TRI_AXIS = 1.0 + 0.01 * np.arange(201)
 QUAD_AXIS = 1.0 + 0.02 * np.arange(51)
 
 
-def _tri_grid():
-    big1, big2 = np.meshgrid(TRI_AXIS, TRI_AXIS, indexing="ij")
-    return big1.ravel(), big2.ravel()
-
-
-def _quad_grid():
-    big1, big2, big3 = np.meshgrid(QUAD_AXIS, QUAD_AXIS, QUAD_AXIS, indexing="ij")
-    return big1.ravel(), big2.ravel(), big3.ravel()
+def _reference_transforms():
+    """Transforms at every point of the three-mode, then the four-mode reference grid."""
+    for build, axes in ((model.tri_transform_batch, [TRI_AXIS] * 2),
+                        (model.quad_transform_batch, [QUAD_AXIS] * 3)):
+        yield build(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
 
 
 def _sweep(system, axis, labels):
@@ -90,29 +87,19 @@ def check_closed_form():
 
 def check_symplecticity():
     """Every transform on the reference grids satisfies U Omega U^T = Omega."""
-    g1, g2 = _tri_grid()
-    u = model.tri_transform_batch(g1, g2)
-    omega = gaussian.symplectic_form(3)
-    worst = float(np.abs(u @ omega @ u.transpose(0, 2, 1) - omega).max())
-    q1, q2, q3 = _quad_grid()
-    u = model.quad_transform_batch(q1, q2, q3)
-    omega = gaussian.symplectic_form(4)
-    worst = max(worst, float(np.abs(u @ omega @ u.transpose(0, 2, 1) - omega).max()))
+    worst = 0.0
+    for u in _reference_transforms():
+        omega = gaussian.symplectic_form(u.shape[-1] // 2)
+        worst = max(worst, float(np.abs(u @ omega @ u.transpose(0, 2, 1) - omega).max()))
     return worst < 1e-10, f"max |U Omega U^T - Omega| = {worst:.3e} (tol 1e-10)"
 
 
 def check_purity():
     """Output covariance matrices have all symplectic eigenvalues equal to 1."""
     worst = 0.0
-    for builder, grids in (
-        (model.tri_transform_batch, _tri_grid()),
-        (model.quad_transform_batch, _quad_grid()),
-    ):
-        u = builder(*grids)
-        sig = u @ u.transpose(0, 2, 1)
-        n = sig.shape[-1] // 2
-        eigs = np.linalg.eigvals(gaussian.symplectic_form(n) @ sig)
-        worst = max(worst, float(np.abs(np.sort(np.abs(eigs), axis=-1) - 1.0).max()))
+    for u in _reference_transforms():
+        nus, _ = gaussian._symplectic_spectrum(u @ u.transpose(0, 2, 1))
+        worst = max(worst, float(np.abs(nus - 1.0).max()))
     return worst < 1e-8, f"max |nu - 1| = {worst:.3e} (tol 1e-8)"
 
 

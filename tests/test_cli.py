@@ -44,7 +44,8 @@ class TestRegionScan:
         assert body[0][4] == "false"
 
     def test_deterministic_across_jobs(self, tmp_path):
-        cfg = write_config(tmp_path, TINY_SCAN)
+        labels = ["D12", "D13", "PPT:1|2", "PPT:1|23"]
+        cfg = write_config(tmp_path, dict(TINY_SCAN, criteria=labels))
         outputs = []
         for jobs, name in ((1, "a.csv"), (4, "b.csv")):
             out = tmp_path / name
@@ -85,6 +86,20 @@ class TestRegionScan:
         assert "D12 is not finite" in captured.err and "G1=1e+200, G2=1.2" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "criteria, label", [(["D12", "PPT:1|23"], "D12"), (["PPT:1|23", "PPT:1|3"], "PPT:1|23")]
+    )
+    def test_non_finite_state_prints_one_error_line(self, tmp_path, criteria, label):
+        config = {"system": "tri", "gains": {"G1": 1e200, "G2": 1.2}, "criteria": criteria}
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        args = ["region-scan", "--config", write_config(tmp_path, config)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "delcfwm.cli", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: criterion {label} is not finite (nan) at G1=1e+200, G2=1.2\n"
 
     def test_fig6_preset(self, tmp_path):
         out = tmp_path / "fig6.csv"
@@ -327,7 +342,10 @@ QUAD_GRID = {
 
 class TestGoldenBytes:
     """sha256 of whole output files, recorded with the row-by-row CSV writer
-    and ``json.dumps(..., indent=2)``; the streaming emitter must match them."""
+    and ``json.dumps(..., indent=2)``; the streaming emitter must match them.
+    The PPT-bearing outputs (fig6, tri21, quad7, fig9_tri, fig9_quad) were
+    re-recorded with the closed-form/Hermitian PPT kernel once
+    ``test_kernel.py`` showed its values within 1e-11 of the eigvals oracle."""
 
     @pytest.mark.parametrize(
         "args, config, digest",
@@ -335,19 +353,19 @@ class TestGoldenBytes:
             (["region-scan", "--preset", "fig5"], None,
              "4b6ac7abbc2aa62a2b3ce1f5e812693944d6f371522f9dd58373afbf70458caa"),
             (["region-scan", "--preset", "fig6"], None,
-             "5e3e1819f1f514ca51c8b5f8ae297961c96a5aad4367533463a2b52f7362e240"),
+             "e5ee770fffc6a43a457f5c0c3a3df9442528e6d89f353347efd3e9904bed2e7f"),
             (["region-scan"], TRI_GRID,
-             "2dbb7ad64c42a523d605ac01c4ed1cd8e2bd641d930a2536d6de0ef471ec3df0"),
+             "60bd700b034360109d513d6d16a7519e82fa1601903d4299214f7c382202cdbd"),
             (["region-scan", "--format", "json"], TRI_GRID,
-             "2501f89c258504cb9d1a93b0227ac48146b516ac7b27a8f2c952fe08dd624117"),
+             "9c627ebdf7e596a41977668a49948ed5c2cb10c5b0f03e6f84cafde22bc25f98"),
             (["region-scan"], QUAD_GRID,
-             "2e397f05a6fa12151fe9c7cdaac94a622f19afd52b350dd28650a06202542e53"),
+             "bb6fad45c85680ba4155c6be561c2b0b7ca334fc76faf60f33fbc6df0ee9442e"),
             (["region-scan", "--format", "json"], QUAD_GRID,
-             "e84f055c4ee89ac39625179e4fc27abf70146b792bb4f50a9fba0713d330e1fb"),
+             "1df6360dae8df3b466729e60b2abdd96d87364834f78ef31fd90ee5ddc969efd"),
             (["profile", "--preset", "fig9_tri"], None,
-             "bcafb1811c291fa5f3c8873b669e27e4e10a5a65269c72f2d82c9c4022cb85a8"),
+             "c6f0c057307cad026ff8da6c8e1add7307bbca52be9847115a4d01ee6a7a8a4a"),
             (["profile", "--preset", "fig9_quad"], None,
-             "4f78f25677a410eefb9eb5b074d1c6c3c768ad2ae95ae9dec19c9c9df2bf62fd"),
+             "29440488042a2b8b28af0d986476cf14eb14acf4cfbe0a441235bc9ebc47d19f"),
             (["spectrum", "--preset", "fig8_col3"], None,
              "c53986fe4c63fae054aa756f529a004b42c9a2df7324733870d9679db6fbacd6"),
             (["channels", "--format", "csv"], None,

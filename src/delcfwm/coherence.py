@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .criteria import Sweep, _sweep_chunk, parse_request, verdicts
+from .criteria import Sweep, _walk, parse_request, verdicts
 
 
 class ResonanceError(ValueError):
@@ -42,21 +42,9 @@ class DressingCase(str, Enum):
     RHO3_BY_E1 = "rho3_e1"  # third-order coherence dressed by pump E1
     RHO2_BY_E3 = "rho2_e3"  # second-order coherence dressed by pump E3
 
-    @property
-    def is_dressed(self) -> bool:
-        return self in _DRESSED_CASES
-
 
 _UNDRESSED_CASES = frozenset(
     {DressingCase.FWM1_S1, DressingCase.FWM1_S2, DressingCase.FWM2_S2, DressingCase.FWM2_S3}
-)
-_DRESSED_CASES = frozenset(
-    {
-        DressingCase.RHO2_BY_E1,
-        DressingCase.RHO1_BY_E1,
-        DressingCase.RHO3_BY_E1,
-        DressingCase.RHO2_BY_E3,
-    }
 )
 
 
@@ -384,7 +372,7 @@ def criteria_profile(
     delta, g1 = gain_profile(case, p, grid, amplitude)
     fixed = [g2_amp] if g3_amp is None else [g2_amp, g3_amp]
     gains = np.column_stack([g1] + [np.full_like(g1, g) for g in fixed])
-    values = _sweep_chunk(system, gains, crits)
+    values = _walk(system, gains, crits, 1)
     axes, points = ("delta1", "G1"), np.column_stack([delta, g1])
     labels = tuple(c.label for c in crits)
     return Sweep(axes, points, labels, values, verdicts(crits, values, axes, points))

@@ -360,6 +360,12 @@ def parse_request(system: str, criteria) -> tuple:
     return names, [parse_criterion(lbl, len(names) + 1) for lbl in labels]
 
 
+#: grid points per block: sweeps and profiles evaluate their points block by
+#: block, so the transforms, covariance matrices and kernel temporaries held
+#: at once do not grow with the grid
+BLOCK = 1024
+
+
 def _sweep_chunk(system: str, pts: np.ndarray, crits: list) -> np.ndarray:
     """Values (points, criteria) of the pure output states at the gains
     ``pts``; NaN at points whose covariance matrix is not finite."""
@@ -376,6 +382,22 @@ def _sweep_chunk(system: str, pts: np.ndarray, crits: list) -> np.ndarray:
     return values
 
 
+def _walk(system: str, pts: np.ndarray, crits: list, jobs: int) -> np.ndarray:
+    """Values (points, criteria) at the gains ``pts``: :func:`_sweep_chunk`
+    of each block of BLOCK points, on ``jobs`` worker threads. The blocks
+    do not depend on ``jobs``, so neither do the values."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    size = BLOCK
+    starts = range(0, pts.shape[0], size)
+    values = np.empty((pts.shape[0], len(crits)))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        parts = pool.map(lambda lo: _sweep_chunk(system, pts[lo:lo + size], crits), starts)
+        for lo, part in zip(starts, parts):
+            values[lo:lo + size] = part
+    return values
+
+
 def sweep_criteria(system: str, axes: dict, criteria, jobs: int = 1) -> Sweep:
     """Evaluate criteria over a gain grid.
 
@@ -385,9 +407,10 @@ def sweep_criteria(system: str, axes: dict, criteria, jobs: int = 1) -> Sweep:
     axes : mapping with keys "G1", "G2" (and "G3" for quad); each value is a
         GridAxis or a fixed float.
     criteria : iterable of criterion label strings.
-    jobs : number of worker threads; the output is identical for any value.
+    jobs : number of worker threads (>= 1); they share the grid's fixed
+        blocks of BLOCK points, so the output is identical for any value.
 
-    Raises ValueError when a criterion value is not finite.
+    Raises ValueError when ``jobs`` < 1 or a criterion value is not finite.
     """
     names, crits = parse_request(system, criteria)
     missing = [k for k in names if k not in axes]
@@ -396,16 +419,7 @@ def sweep_criteria(system: str, axes: dict, criteria, jobs: int = 1) -> Sweep:
         raise ValueError(f"sweep axes must be exactly {names}; missing {missing}, extra {extra}")
     grids = np.meshgrid(*[_axis_values(axes[k]) for k in names], indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
-
-    jobs = max(1, int(jobs))
-    if jobs == 1 or pts.shape[0] < 2 * jobs:
-        values = _sweep_chunk(system, pts, crits)
-    else:
-        chunks = np.array_split(np.arange(pts.shape[0]), jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda idx: _sweep_chunk(system, pts[idx], crits), chunks))
-        values = np.vstack(parts)
-
+    values = _walk(system, pts, crits, jobs)
     entangled = verdicts(crits, values, names, pts)
     region = classify_tri_region(pts) if system == "tri" else None
     return Sweep(names, pts, tuple(c.label for c in crits), values, entangled, region)

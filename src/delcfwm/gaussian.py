@@ -112,47 +112,38 @@ def evolve_cm(u, sigma_in) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-#: matrices per block of the Hermitian eigensolve, which bounds its complex temporaries
-EIG_BLOCK = 1024
-
-
 def _symplectic_spectrum(sigmas: np.ndarray) -> tuple[np.ndarray, float]:
     """Symplectic eigenvalues (ascending, last axis) of a stack of covariance
     matrices (..., 2n, 2n), and the worst +/- pairing residual.
 
     With sigma = L L^T (Cholesky), the Hermitian matrix i L^T Omega L has
-    the eigenvalues +/-nu_k; each pair is averaged. The stack is solved in
-    blocks of EIG_BLOCK matrices. A matrix that is not finite or not
-    positive definite, or a pairing mismatch above PAIRING_TOL (relative to
-    the largest eigenvalue), raises ValueError: the input is not a valid
-    covariance matrix. Symmetry is the caller's responsibility.
+    the eigenvalues +/-nu_k; each pair is averaged. The whole stack is
+    solved in one call, so its temporaries grow with the stack; the sweeps
+    pass one block of grid points at a time. A matrix that is not finite or
+    not positive definite, or a pairing mismatch above PAIRING_TOL relative
+    to the largest eigenvalue of this call's stack (for a sweep: of one
+    block), raises ValueError: the input is not a valid covariance matrix.
+    Symmetry is the caller's responsibility.
     """
     n = sigmas.shape[-1] // 2
     flat = sigmas.reshape((-1, 2 * n, 2 * n))
-    omega = symplectic_form(n)
-    nus = np.empty((flat.shape[0], n))
-    residual = scale = 0.0
-    for lo in range(0, flat.shape[0], EIG_BLOCK):
-        block = flat[lo:lo + EIG_BLOCK]
-        if not np.isfinite(block).all():
-            raise ValueError("covariance matrix is not finite")
-        try:
-            low = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                "covariance matrix is not positive definite; input is not a valid covariance matrix"
-            ) from None
-        eigs = np.linalg.eigvalsh(1j * (low.transpose(0, 2, 1) @ omega @ low))
-        pos, neg = eigs[:, n:], -eigs[:, n - 1::-1]
-        residual = max(residual, float(np.max(np.abs(pos - neg))))
-        scale = max(scale, float(pos[:, -1].max()))
-        nus[lo:lo + EIG_BLOCK] = (pos + neg) / 2.0
-    if residual > PAIRING_TOL * max(1.0, scale):
+    if not np.isfinite(flat).all():
+        raise ValueError("covariance matrix is not finite")
+    try:
+        low = np.linalg.cholesky(flat)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "covariance matrix is not positive definite; input is not a valid covariance matrix"
+        ) from None
+    eigs = np.linalg.eigvalsh(1j * (low.transpose(0, 2, 1) @ symplectic_form(n) @ low))
+    pos, neg = eigs[:, n:], -eigs[:, n - 1::-1]
+    residual = float(np.max(np.abs(pos - neg), initial=0.0))
+    if residual > PAIRING_TOL * max(1.0, float(pos[:, -1].max(initial=0.0))):
         raise ValueError(
             f"symplectic eigenvalues do not pair up (+/- pairing residual {residual:.3e}); "
             "input is not a valid covariance matrix"
         )
-    return nus.reshape(sigmas.shape[:-2] + (n,)), residual
+    return ((pos + neg) / 2.0).reshape(sigmas.shape[:-2] + (n,)), residual
 
 
 def symplectic_eigenvalues(sigma, return_residual: bool = False):

@@ -59,15 +59,18 @@ QUAD_AXIS = 1.0 + 0.02 * np.arange(51)
 
 
 def _reference_transforms():
-    """Transforms at every point of the three-mode, then the four-mode reference grid."""
+    """Transforms at every point of the three-mode, then the four-mode
+    reference grid, in blocks of criteria.BLOCK points."""
     for build, axes in ((model.tri_transform_batch, [TRI_AXIS] * 2),
                         (model.quad_transform_batch, [QUAD_AXIS] * 3)):
-        yield build(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
+        grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+        for lo in range(0, grid[0].size, criteria.BLOCK):
+            yield build(*(g[lo:lo + criteria.BLOCK] for g in grid))
 
 
 def _sweep(system, axis, labels):
     """Criteria over the full reference grid of ``system``."""
-    names = ("G1", "G2") if system == "tri" else ("G1", "G2", "G3")
+    names = criteria.parse_request(system, labels)[0]
     return criteria.sweep_criteria(system, dict.fromkeys(names, axis), labels)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from delcfwm import criteria
 from delcfwm.cli import main
 from delcfwm.presets import available_presets, load_preset
 
@@ -43,17 +44,19 @@ class TestRegionScan:
         assert body[0][:4] == ["1.0", "1.0", "D12", "4.0"]
         assert body[0][4] == "false"
 
-    def test_deterministic_across_jobs(self, tmp_path):
+    def test_deterministic_across_jobs(self, tmp_path, monkeypatch):
         labels = ["D12", "D13", "PPT:1|2", "PPT:1|23"]
         cfg = write_config(tmp_path, dict(TINY_SCAN, criteria=labels))
         outputs = []
-        for jobs, name in ((1, "a.csv"), (4, "b.csv")):
-            out = tmp_path / name
+        # the 9-point grid in one block, then in five blocks of up to 2 points
+        for block, jobs in ((criteria.BLOCK, 1), (2, 1), (2, 4)):
+            monkeypatch.setattr(criteria, "BLOCK", block)
+            out = tmp_path / f"{block}-{jobs}.csv"
             assert main([
                 "region-scan", "--config", cfg, "--out", str(out), "--jobs", str(jobs)
             ]) == 0
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[1:] == outputs[:-1]
 
     def test_json_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_SCAN)

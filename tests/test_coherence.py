@@ -8,6 +8,7 @@ from delcfwm import (
     DressingCase,
     analytic_resonances,
     channel_capacity,
+    criteria,
     criteria_profile,
     deviation_quadruple,
     deviation_tuple,
@@ -357,6 +358,16 @@ class TestCriteriaProfile:
                 duan_tri_closed_grid(pair, g1, 1.2), abs=1e-9
             )
         assert np.array_equal(prof.entangled, prof.values < 4.0)
+
+    def test_blocks_do_not_change_rows(self, monkeypatch):
+        args = ("quad", "rho2_e1", AtomicParams(), self.GRID, 1.0, 1.3, 1.1)
+        # PPT:1|3 and PPT:12|34 take the Hermitian eigensolve, PPT:1|234 the closed form
+        labels = ["D12", "PPT:1|234", "PPT:12|34", "PPT:1|3"]
+        whole = criteria_profile(*args, criteria=labels)  # 451 points, one block
+        monkeypatch.setattr(criteria, "BLOCK", 7)  # 65 blocks, the last of three points
+        blocked = criteria_profile(*args, criteria=labels)
+        for name in ("points", "values", "entangled"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(ValueError, match=r"D12 is not finite .* at delta1="):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from delcfwm import (
     build_quad_transform,
     build_tri_transform,
     classify_tri_region,
+    criteria,
     duan_quad_closed,
     duan_tri_closed,
     duan_value,
@@ -351,14 +354,42 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_criteria("tri", {"G1": 1.2, "G2": 1.2, "G3": 1.2}, ["D12"])
 
-    def test_parallel_rows_identical(self):
+    def test_parallel_rows_identical(self, monkeypatch):
         axes = {"G1": GridAxis(1.0, 1.5, 0.05), "G2": GridAxis(1.0, 1.5, 0.05)}
-        labels = ["D12", "D23", "PPT:1|23"]
-        one = sweep_criteria("tri", axes, labels, jobs=1)
-        three = sweep_criteria("tri", axes, labels, jobs=3)
-        assert one.labels == three.labels
-        for name in ("points", "values", "entangled", "region"):
-            assert np.array_equal(getattr(one, name), getattr(three, name)), name
+        # PPT:1|3 takes the Hermitian eigensolve, PPT:1|23 the pure-state closed form
+        labels = ["D12", "D23", "PPT:1|23", "PPT:1|3"]
+        whole = sweep_criteria("tri", axes, labels)  # 121 points, one block
+        for block in (criteria.BLOCK, 7):  # 7: 18 blocks, the last of one point
+            monkeypatch.setattr(criteria, "BLOCK", block)
+            for jobs in (1, 3):
+                sweep = sweep_criteria("tri", axes, labels, jobs=jobs)
+                assert sweep.labels == whole.labels
+                for name in ("points", "values", "entangled", "region"):
+                    assert np.array_equal(getattr(sweep, name), getattr(whole, name)), (
+                        block, jobs, name,
+                    )
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            sweep_criteria("tri", {"G1": 1.2, "G2": 1.2}, ["D12"], jobs=jobs)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        labels = ["D12", "PPT:1|234", "PPT:12|34", "PPT:1|3"]
+
+        def peak(n):
+            axis = 1.0 + 0.02 * np.arange(n)
+            tracemalloc.start()
+            try:
+                sweep = sweep_criteria("quad", dict.fromkeys(("G1", "G2", "G3"), axis), labels)
+                return tracemalloc.get_traced_memory()[1], sweep
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(11)
+        big, sweep = peak(22)  # 8x the points of the small grid
+        outputs = sweep.points.nbytes + sweep.values.nbytes + sweep.entangled.nbytes
+        assert big - small < 2 * outputs, (big, small, outputs)
 
     @pytest.mark.parametrize(
         "axes",

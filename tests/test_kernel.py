@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from delcfwm import gaussian
 from delcfwm.cli import main
 from delcfwm.criteria import (
     evaluate_criterion,
@@ -174,14 +173,6 @@ def test_scalar_equals_batch(points):
         assert batch.tolist() == [evaluate_criterion(s, crit) for s in sigmas]
     nus = [symplectic_eigenvalues(s)[0] for s in sigmas]
     assert _min_symplectic_eigenvalue_batch(sigmas).tolist() == nus
-
-
-def test_blocks_do_not_change_values(monkeypatch):
-    g = 1.0 + 0.1 * np.arange(20)
-    sigmas = oracle.output_cms(np.column_stack([g, g[::-1], np.sqrt(g)]))
-    whole, _ = gaussian._symplectic_spectrum(sigmas)
-    monkeypatch.setattr(gaussian, "EIG_BLOCK", 7)
-    assert np.array_equal(gaussian._symplectic_spectrum(sigmas)[0], whole)
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,20 +24,14 @@ from .criteria import (
     DUAN_BOUND,
     Criterion,
     CriterionError,
-    DuanResult,
     GridAxis,
-    PPTResult,
     Sweep,
     classify_tri_region,
-    duan_quad_closed,
     duan_quad_closed_grid,
-    duan_tri_closed,
     duan_tri_closed_grid,
-    duan_value,
+    evaluate_criterion,
     parse_criterion,
-    ppt_value,
     sweep_criteria,
-    tri_regions,
 )
 from .fock import (
     TruncatedState,
@@ -48,10 +42,8 @@ from .fock import (
     vacuum_state,
 )
 from .gaussian import (
-    ModeBipartition,
     evolve_cm,
     is_symplectic,
-    partial_transpose,
     reduced_cm,
     symplectic_eigenvalues,
     symplectic_form,

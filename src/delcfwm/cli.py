@@ -10,8 +10,9 @@ validate      run the built-in validation checks
 
 Configuration is a single JSON document. Precedence, lowest to highest:
 built-in defaults, ``--preset`` document, ``--config`` file, command-line
-flags (``--out``, ``--format``, ``--jobs``). Exit codes: 0 success,
-1 runtime or numerical failure, 2 configuration error.
+flags (``--out``, ``--format`` and, for ``region-scan``, ``--jobs``). Exit
+codes: 0 success, 1 runtime or numerical failure or a closed output pipe,
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -114,9 +116,8 @@ def _resolve_config(args, command: str, defaults: dict) -> dict:
         cfg = _merge(cfg, overlay)
     cfg["out"] = getattr(args, "out", None)
     cfg["format"] = getattr(args, "format", "csv")
-    cfg["jobs"] = getattr(args, "jobs", 1)
-    if cfg["jobs"] < 1:
-        raise ConfigError("--jobs must be >= 1")
+    if command == "region-scan":
+        cfg["jobs"] = args.jobs
     return cfg
 
 
@@ -337,6 +338,8 @@ def _cmd_channels(cfg) -> int:
         }
         _write_channels(cfg, doc)
         return EXIT_OK
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         peaks = find_peaks(case, params, grid)
     except ValueError as exc:
@@ -453,7 +456,6 @@ def _add_common(sub, default_format: str = "csv") -> None:
     sub.add_argument(
         "--format", choices=("csv", "json"), default=default_format, help="output format"
     )
-    sub.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("channels", "coherent channels: closed-form and numeric positions", "json"),
         ("profile", "criteria along the deviation axis with dressed gain", "csv"),
     ):
-        _add_common(subs.add_parser(name, help=help_text), default_format=fmt)
+        sub = subs.add_parser(name, help=help_text)
+        _add_common(sub, default_format=fmt)
+        if name == "region-scan":
+            sub.add_argument("--jobs", type=int, default=1, help="worker threads for the sweep")
 
     val = subs.add_parser("validate", help="run the built-in validation checks")
     val.add_argument("--filter", help="run only checks whose name contains this substring")
@@ -489,15 +494,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            return _cmd_validate(args)
-        handler, defaults = _HANDLERS[args.command]
-        cfg = _resolve_config(args, args.command, defaults)
-        return handler(cfg)
+            code = _cmd_validate(args)
+        else:
+            handler, defaults = _HANDLERS[args.command]
+            code = handler(_resolve_config(args, args.command, defaults))
+        sys.stdout.flush()  # here, so that a closed pipe is handled below
+        return code
     except (ConfigError, CriterionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): point it at devnull so the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_RUNTIME
 
 

@@ -154,7 +154,7 @@ def _chain_parts(case, p: AtomicParams, d):
         f1 = p.gamma32 + 1j * p.delta1p
         f2 = p.gamma12 - 1j * d
         if case is DressingCase.FWM1_S1:
-            num = p.omega1**2 * p.omega2
+            num = p.omega1 * p.omega1 * p.omega2
             f3 = p.gamma32 + 1j * (p.delta1 - d)
         else:
             num = p.omega1 * p.omega2 * p.omega3
@@ -166,19 +166,19 @@ def _chain_parts(case, p: AtomicParams, d):
         num = p.omega1 * p.omega3 * p.omega_s3
         f1 = p.gamma31 + 1j * p.delta3
     else:
-        num = p.omega1**2 * p.omega_s1
+        num = p.omega1 * p.omega1 * p.omega_s1
         f1 = p.gamma31 + 1j * p.delta1
     f2 = p.gamma21 + 1j * d
     f3 = p.gamma31 + 1j * (d + p.delta1p)
 
     if case is DressingCase.RHO2_BY_E1:
-        f2 = f2 + p.omega1**2 / (p.gamma23 + 1j * (d - p.delta1))
+        f2 = f2 + p.omega1 * p.omega1 / (p.gamma23 + 1j * (d - p.delta1))
     elif case is DressingCase.RHO2_BY_E3:
-        f2 = f2 + p.omega3**2 / (p.gamma23 + 1j * (d - p.delta3))
+        f2 = f2 + p.omega3 * p.omega3 / (p.gamma23 + 1j * (d - p.delta3))
     elif case is DressingCase.RHO1_BY_E1:
-        f1 = f1 + p.omega1**2 / p.gamma33
+        f1 = f1 + p.omega1 * p.omega1 / p.gamma33
     elif case is DressingCase.RHO3_BY_E1:
-        f3 = f3 + p.omega1**2 / (p.gamma33 + 1j * (d + p.delta1p - p.delta1))
+        f3 = f3 + p.omega1 * p.omega1 / (p.gamma33 + 1j * (d + p.delta1p - p.delta1))
     return num, f1, f2, f3
 
 
@@ -197,10 +197,12 @@ def rho3_denominator(case, p: AtomicParams, delta1):
 
 
 def rho3_dressed(case, p: AtomicParams, delta1):
-    """Third-order coherence amplitude for any case (undressed tags included)."""
+    """Third-order coherence amplitude for any case (undressed tags included).
+    Not finite, without a warning, where the parameters overflow."""
     d = np.asarray(delta1, dtype=float)
-    num, f1, f2, f3 = _chain_parts(case, p, d)
-    out = np.asarray(-1j * num / (f1 * f2 * f3), dtype=complex)
+    with np.errstate(all="ignore"):
+        num, f1, f2, f3 = _chain_parts(case, p, d)
+        out = np.asarray(-1j * num / (f1 * f2 * f3), dtype=complex)
     return complex(out) if np.ndim(delta1) == 0 else out
 
 
@@ -237,7 +239,7 @@ def analytic_resonances(case, p: AtomicParams) -> list:
             det, omega = p.delta1, p.omega1
         else:
             det, omega = p.delta3, p.omega3
-        root = math.sqrt(det**2 + 4.0 * p.gamma21 * p.gamma23 + 4.0 * omega**2)
+        root = math.sqrt(det * det + 4.0 * p.gamma21 * p.gamma23 + 4.0 * omega * omega)
         channels = [
             ("C1", -p.delta1p),
             ("C2", (det + root) / 2.0),
@@ -245,8 +247,9 @@ def analytic_resonances(case, p: AtomicParams) -> list:
         ]
     elif case is DressingCase.RHO3_BY_E1:
         b = p.delta1 - 2.0 * p.delta1p
-        disc = b**2 - 4.0 * (
-            p.delta1p**2 - p.delta1 * p.delta1p - p.omega1**2 - p.gamma31 * p.gamma33
+        disc = b * b - 4.0 * (
+            p.delta1p * p.delta1p - p.delta1 * p.delta1p - p.omega1 * p.omega1
+            - p.gamma31 * p.gamma33
         )
         if disc < 0:
             raise ResonanceError(
@@ -256,6 +259,8 @@ def analytic_resonances(case, p: AtomicParams) -> list:
         channels = [("C1", 0.0), ("C2", (b + root) / 2.0), ("C3", (b - root) / 2.0)]
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unhandled case {case!r}")
+    if not all(math.isfinite(pos) for _, pos in channels):
+        raise ValueError(f"the {case.value} channel positions are not finite for these parameters")
     return sorted(
         (CoherentChannel.at(lbl, pos) for lbl, pos in channels),
         key=lambda ch: ch.delta1,
@@ -343,10 +348,13 @@ def gain_profile(case, p: AtomicParams, grid, amplitude: float = 1.0):
         raise ValueError("gain-mapping amplitude must be >= 0")
     grid = np.asarray(grid, dtype=float)
     spectrum = np.abs(rho3_dressed(case, p, grid))
+    if not np.isfinite(spectrum).all():
+        raise ValueError(f"the {DressingCase(case).value} spectrum is not finite on this grid")
     top = spectrum.max() if spectrum.size else 0.0
     if top == 0.0:
         raise ValueError("spectrum is identically zero; cannot normalize the gain mapping")
-    return grid.copy(), np.cosh(amplitude * spectrum / top)
+    with np.errstate(over="ignore"):  # an infinite gain fails criteria_profile's finite check
+        return grid.copy(), np.cosh(amplitude * spectrum / top)
 
 
 def criteria_profile(

@@ -28,65 +28,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    ModeBipartition,
-    _as_cm,
-    _min_symplectic_eigenvalue_batch,
-    partial_transpose,
-)
-from .model import GainSet, quad_transform_batch, tri_transform_batch
+from .gaussian import _as_cm, _min_symplectic_eigenvalue_batch
+from .model import quad_transform_batch, tri_transform_batch
 
 DUAN_BOUND = 4.0
 
-NECESSARY_AND_SUFFICIENT = "necessary_and_sufficient"
-SUFFICIENT_ONLY = "sufficient_only"
 
-
-@dataclass(frozen=True)
-class DuanResult:
-    mode_i: int
-    mode_j: int
-    value: float
-
-    @property
-    def entangled(self) -> bool:
-        return self.value < DUAN_BOUND
-
-
-@dataclass(frozen=True)
-class PPTResult:
-    bipartition: ModeBipartition
-    nu_min: float
-
-    @property
-    def value(self) -> float:
-        return self.nu_min - 1.0
-
-    @property
-    def entangled(self) -> bool:
-        return self.value < 0.0
-
-    @property
-    def sufficiency(self) -> str:
-        if self.bipartition.min_side == 1:
-            return NECESSARY_AND_SUFFICIENT
-        return SUFFICIENT_ONLY
-
-
-def duan_value(sigma, i: int, j: int) -> DuanResult:
-    """Evaluate D_ij = V(Xi - Xj) + V(Pi + Pj) on a covariance matrix."""
-    sigma = _as_cm(sigma)
-    n = sigma.shape[0] // 2
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"Duan criterion needs two distinct modes in 1..{n}, got {i} and {j}")
-    value = evaluate_criterion_batch(sigma[None], Criterion("duan", (i,), (j,), f"D{i}{j}"))[0]
-    return DuanResult(i, j, float(value))
+def _gain_arrays(*gains) -> list:
+    """The amplitude gains as float arrays; ValueError unless all are >= 1."""
+    arrays = [np.asarray(g, dtype=float) for g in gains]
+    if not all((a >= 1.0).all() for a in arrays):
+        raise ValueError("amplitude gains must be >= 1")
+    return arrays
 
 
 def duan_tri_closed_grid(pair: str, g1_amp, g2_amp):
     """Vectorized closed-form three-mode Duan values over gain arrays."""
-    big1 = np.asarray(g1_amp, dtype=float)
-    big2 = np.asarray(g2_amp, dtype=float)
+    big1, big2 = _gain_arrays(g1_amp, g2_amp)
     if pair == "12":
         c1 = np.sqrt(big1**2 - 1.0)
         return 4.0 * (big1**2 * (big2**2 + 1.0) - 2.0 * big1 * big2 * c1 - 1.0)
@@ -100,9 +58,7 @@ def duan_tri_closed_grid(pair: str, g1_amp, g2_amp):
 
 def duan_quad_closed_grid(pair: str, g1_amp, g2_amp, g3_amp):
     """Vectorized closed-form four-mode Duan values over gain arrays."""
-    big1 = np.asarray(g1_amp, dtype=float)
-    big2 = np.asarray(g2_amp, dtype=float)
-    big3 = np.asarray(g3_amp, dtype=float)
+    big1, big2, big3 = _gain_arrays(g1_amp, g2_amp, g3_amp)
     if pair == "12":
         c1 = np.sqrt(big1**2 - 1.0)
         return 4.0 * (
@@ -127,32 +83,13 @@ def duan_quad_closed_grid(pair: str, g1_amp, g2_amp, g3_amp):
     raise ValueError(f"unknown four-mode pair label {pair!r}")
 
 
-def duan_tri_closed(gains: GainSet, pair: str) -> float:
-    """Closed-form three-mode Duan value for one gain set."""
-    if gains.g3_amp is not None:
-        raise ValueError("three-mode closed forms take a two-gain set")
-    return float(duan_tri_closed_grid(pair, gains.g1_amp, gains.g2_amp))
-
-
-def duan_quad_closed(gains: GainSet, pair: str) -> float:
-    """Closed-form four-mode Duan value for one gain set."""
-    if gains.g3_amp is None:
-        raise ValueError("four-mode closed forms require g3_amp")
-    return float(duan_quad_closed_grid(pair, gains.g1_amp, gains.g2_amp, gains.g3_amp))
-
-
-def ppt_value(sigma, part: ModeBipartition) -> PPTResult:
-    """PPT value (smallest symplectic eigenvalue of the partial transpose, minus 1)."""
-    nu_min = _min_symplectic_eigenvalue_batch(partial_transpose(sigma, part)[None])
-    return PPTResult(part, float(nu_min[0]))
-
-
 #: region names indexed by (D12 < 4) + 2 * (D23 < 4)
 _REGION_NAMES = np.array(["none", "I", "II", "III"])
 
 
-def tri_regions(g1_amp, g2_amp) -> np.ndarray:
-    """Entanglement regions of the three-mode source over (G1, G2) gain arrays.
+def classify_tri_region(g1_amp, g2_amp) -> np.ndarray:
+    """Entanglement regions of the three-mode source at gains (G1, G2),
+    scalars or arrays.
 
     "I" if only D12 < 4, "II" if only D23 < 4, "III" if both, "none" otherwise
     (D13 never violates the bound).
@@ -160,17 +97,6 @@ def tri_regions(g1_amp, g2_amp) -> np.ndarray:
     d12 = duan_tri_closed_grid("12", g1_amp, g2_amp) < DUAN_BOUND
     d23 = duan_tri_closed_grid("23", g1_amp, g2_amp) < DUAN_BOUND
     return _REGION_NAMES[d12 + 2 * d23]
-
-
-def classify_tri_region(gains):
-    """:func:`tri_regions` of one GainSet (a region name) or of an array of
-    (G1, G2) rows (an array of names)."""
-    if isinstance(gains, GainSet):
-        if gains.g3_amp is not None:
-            raise ValueError("three-mode regions take a two-gain set")
-        return str(tri_regions(gains.g1_amp, gains.g2_amp))
-    pts = np.asarray(gains, dtype=float)
-    return tri_regions(pts[..., 0], pts[..., 1])
 
 
 # --------------------------------------------------------------------------
@@ -250,8 +176,11 @@ def evaluate_criterion_batch(sigmas: np.ndarray, crit: Criterion, pure: bool = F
     the closed form :func:`_pure_split_value`. Every other PPT label takes
     the smallest symplectic eigenvalue of the reduced, partially transposed
     CM (:func:`~delcfwm.gaussian._min_symplectic_eigenvalue_batch`).
+    A criterion naming a mode beyond the matrices' raises CriterionError.
     """
     n = sigmas.shape[-1] // 2
+    if max(crit.modes_a + crit.modes_b) > n:
+        raise CriterionError(f"criterion {crit.label} names a mode outside 1..{n}")
     if crit.kind == "duan":
         xi, xj = 2 * crit.modes_a[0] - 2, 2 * crit.modes_b[0] - 2
         pi, pj = xi + 1, xj + 1
@@ -272,9 +201,14 @@ def evaluate_criterion_batch(sigmas: np.ndarray, crit: Criterion, pure: bool = F
     return _min_symplectic_eigenvalue_batch(signs[:, None] * sigmas * signs[None, :]) - 1.0
 
 
-def evaluate_criterion(sigma, crit: Criterion) -> float:
-    """:func:`evaluate_criterion_batch` of a single state."""
-    return float(evaluate_criterion_batch(_as_cm(sigma)[None], crit)[0])
+def evaluate_criterion(sigma, crit: Criterion | str) -> float:
+    """:func:`evaluate_criterion_batch` of a single state. ``crit`` is a
+    Criterion or a label such as ``"PPT:1|23"``, parsed against the mode
+    count of ``sigma``."""
+    sigma = _as_cm(sigma)
+    if isinstance(crit, str):
+        crit = parse_criterion(crit, sigma.shape[0] // 2)
+    return float(evaluate_criterion_batch(sigma[None], crit)[0])
 
 
 def verdicts(crits: list, values: np.ndarray, axes: tuple, points: np.ndarray) -> np.ndarray:
@@ -421,5 +355,5 @@ def sweep_criteria(system: str, axes: dict, criteria, jobs: int = 1) -> Sweep:
     pts = np.column_stack([g.ravel() for g in grids])
     values = _walk(system, pts, crits, jobs)
     entangled = verdicts(crits, values, names, pts)
-    region = classify_tri_region(pts) if system == "tri" else None
+    region = classify_tri_region(*pts.T) if system == "tri" else None
     return Sweep(names, pts, tuple(c.label for c in crits), values, entangled, region)

@@ -13,8 +13,6 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: tolerance for the +/- pairing of the eigenvalues of i L^T Omega L (sigma = L L^T)
@@ -24,12 +22,13 @@ PAIRING_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
 
 
-def _as_even_square(mat, name: str) -> np.ndarray:
+def _as_even_square(mat, name: str, stack: bool = False) -> np.ndarray:
+    """``mat`` as a float (2n, 2n) array or, with ``stack``, (..., 2n, 2n)."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if not (mat.ndim == 2 or stack and mat.ndim > 2) or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    if mat.shape[0] == 0 or mat.shape[0] % 2:
-        raise ValueError(f"{name} must have even, positive dimension, got {mat.shape[0]}")
+    if mat.shape[-1] == 0 or mat.shape[-1] % 2:
+        raise ValueError(f"{name} must have even, positive dimension, got {mat.shape[-1]}")
     return mat
 
 
@@ -39,35 +38,6 @@ def _as_cm(sigma, name: str = "sigma") -> np.ndarray:
     if asym > SYMMETRY_TOL:
         raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
     return sigma
-
-
-@dataclass(frozen=True)
-class ModeBipartition:
-    """A split of the modes {1, ..., n} into a nonempty proper subset A and its complement."""
-
-    n_modes: int
-    set_a: frozenset
-
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        modes = frozenset(int(m) for m in self.set_a)
-        object.__setattr__(self, "set_a", modes)
-        if not modes:
-            raise ValueError("bipartition subset A must be nonempty")
-        bad = [m for m in modes if m < 1 or m > self.n_modes]
-        if bad:
-            raise ValueError(f"modes {sorted(bad)} out of range 1..{self.n_modes}")
-        if len(modes) == self.n_modes:
-            raise ValueError("bipartition subset A must be a proper subset of the modes")
-
-    @property
-    def set_b(self) -> frozenset:
-        return frozenset(range(1, self.n_modes + 1)) - self.set_a
-
-    @property
-    def min_side(self) -> int:
-        return min(len(self.set_a), self.n_modes - len(self.set_a))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -85,17 +55,17 @@ def vacuum_cm(n_modes: int) -> np.ndarray:
 
 
 def is_symplectic(u, tol: float = 1e-10) -> tuple[bool, float]:
-    """Check U Omega U^T = Omega.
+    """Check U Omega U^T = Omega for a transform or a stack (..., 2n, 2n) of them.
 
     Returns
     -------
     (ok, residual)
-        ``residual`` is the max-abs entry of U Omega U^T - Omega and ``ok``
-        is True when it is below ``tol``.
+        ``residual`` is the max-abs entry of U Omega U^T - Omega over the
+        stack and ``ok`` is True when it is below ``tol``.
     """
-    u = _as_even_square(u, "transform")
-    omega = symplectic_form(u.shape[0] // 2)
-    residual = float(np.max(np.abs(u @ omega @ u.T - omega)))
+    u = _as_even_square(u, "transform", stack=True)
+    omega = symplectic_form(u.shape[-1] // 2)
+    residual = float(np.max(np.abs(u @ omega @ np.swapaxes(u, -1, -2) - omega)))
     return residual < tol, residual
 
 
@@ -156,19 +126,6 @@ def symplectic_eigenvalues(sigma, return_residual: bool = False):
 def _min_symplectic_eigenvalue_batch(sigmas: np.ndarray) -> np.ndarray:
     """Smallest symplectic eigenvalue of each matrix of a stack (..., 2m, 2m)."""
     return _symplectic_spectrum(sigmas)[0][..., 0]
-
-
-def partial_transpose(sigma, part: ModeBipartition) -> np.ndarray:
-    """Partial transposition on subsystem A: flip the sign of every P row and
-    column belonging to a mode in A. Involutive."""
-    sigma = _as_cm(sigma)
-    n = sigma.shape[0] // 2
-    if part.n_modes != n:
-        raise ValueError(f"bipartition is over {part.n_modes} modes, sigma has {n}")
-    signs = np.ones(2 * n)
-    for m in part.set_a:
-        signs[2 * (m - 1) + 1] = -1.0
-    return signs[:, None] * sigma * signs[None, :]
 
 
 def reduced_cm(sigma, modes) -> np.ndarray:

@@ -29,6 +29,19 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def cli_process(args, **kwargs):
+    """Popen of ``python -m delcfwm.cli args`` in a fresh process; ``kwargs`` go to Popen."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.Popen([sys.executable, "-m", "delcfwm.cli", *args], env=env, **kwargs)
+
+
+def run_cli(args):
+    """Exit code, stdout and stderr of ``python -m delcfwm.cli args``."""
+    with cli_process(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        out, err = proc.communicate(timeout=60)
+    return proc.returncode, out, err
+
+
 class TestRegionScan:
     def test_csv_shape_and_order(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SCAN)
@@ -95,14 +108,19 @@ class TestRegionScan:
     )
     def test_non_finite_state_prints_one_error_line(self, tmp_path, criteria, label):
         config = {"system": "tri", "gains": {"G1": 1e200, "G2": 1.2}, "criteria": criteria}
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        args = ["region-scan", "--config", write_config(tmp_path, config)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "delcfwm.cli", *args],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == f"error: criterion {label} is not finite (nan) at G1=1e+200, G2=1.2\n"
+        code, out, err = run_cli(["region-scan", "--config", write_config(tmp_path, config)])
+        assert code == 2 and out == ""
+        assert err == f"error: criterion {label} is not finite (nan) at G1=1e+200, G2=1.2\n"
+
+    def test_closed_stdout_exits_nonzero_without_traceback(self):
+        # fig3 writes about 1 MB, far more than a pipe holds
+        args = ["region-scan", "--preset", "fig3"]
+        with cli_process(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"G1,G2,criterion,value,entangled,region\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) != 0
+        assert err == b""
 
     def test_fig6_preset(self, tmp_path):
         out = tmp_path / "fig6.csv"
@@ -144,15 +162,16 @@ class TestSpectrum:
         cfg = write_config(tmp_path, doc)
         assert main(["spectrum", "--config", cfg]) == 2
 
-    def test_non_finite_spectrum_exits_2_and_writes_nothing(self, tmp_path, capsys):
+    def test_non_finite_spectrum_exits_2_and_writes_nothing(self, tmp_path):
         gammas = ("gamma31", "gamma21", "gamma32", "gamma12", "gamma23", "gamma33")
         doc = {
             "params": dict.fromkeys(gammas, 1e300),
             "grid": {"start": -1e300, "stop": 1e300, "step": 1e299},
         }
         out = tmp_path / "spec.csv"
-        assert main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
-        assert "not finite" in capsys.readouterr().err
+        code, _, err = run_cli(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert err == "error: the fwm1_s2 spectrum is not finite on this grid\n"
         assert not out.exists()
 
     def test_unknown_case_exits_2(self, tmp_path, capsys):
@@ -258,6 +277,34 @@ class TestConfigHandling:
     def test_bad_atomic_param_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"params": {"gamma21": -1.0}})
         assert main(["spectrum", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["spectrum", "--preset", "fig8_col3"], {"params": {"omega1": 1e200}},
+             "the rho2_e1 spectrum is not finite on this grid"),
+            (["profile", "--preset", "fig9_tri"], {"params": {"omega1": 1e200}},
+             "the rho2_e1 spectrum is not finite on this grid"),
+            (["channels"], {"params": {"omega1": 1e200}},
+             "the rho2_e1 channel positions are not finite for these parameters"),
+            (["profile"], {"amplitude": 800.0},
+             "criterion D12 is not finite (nan) at delta1=-21.4, G1=1.3245392179602084e+161"),
+        ],
+    )
+    def test_overflowing_config_exits_2(self, tmp_path, args, config, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, config)
+        code, stdout, err = run_cli(args + ["--config", cfg, "--out", str(out)])
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_jobs_is_a_region_scan_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--preset", "fig8_col3", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert main(["region-scan", "--preset", "fig3", "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
 
     def test_all_presets_load_and_declare_commands(self):
         names = available_presets()

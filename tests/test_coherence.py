@@ -12,7 +12,6 @@ from delcfwm import (
     criteria_profile,
     deviation_quadruple,
     deviation_tuple,
-    duan_tri_closed,
     duan_tri_closed_grid,
     find_peaks,
     gain_profile,
@@ -21,7 +20,6 @@ from delcfwm import (
     rho3_numerator,
     rho3_undressed,
 )
-from delcfwm.model import GainSet
 
 WIDE_GRID = np.arange(-50.0, 40.0 + 1e-9, 0.1)
 
@@ -299,8 +297,8 @@ class TestCriteriaProfile:
             "tri", "rho2_e1", AtomicParams(), self.GRID, 0.0, 1.2, criteria=["D12", "D23"]
         )
         baseline = {
-            "D12": duan_tri_closed(GainSet(1.0, 1.2), "12"),
-            "D23": duan_tri_closed(GainSet(1.0, 1.2), "23"),
+            "D12": float(duan_tri_closed_grid("12", 1.0, 1.2)),
+            "D23": float(duan_tri_closed_grid("23", 1.0, 1.2)),
         }
         assert prof.axes == ("delta1", "G1") and prof.region is None
         assert np.all(prof.points[:, 1] == 1.0)

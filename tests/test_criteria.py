@@ -5,27 +5,25 @@ import pytest
 
 from delcfwm import (
     DUAN_BOUND,
+    Criterion,
     CriterionError,
     GainSet,
     GridAxis,
-    ModeBipartition,
     build_quad_transform,
     build_tri_transform,
     classify_tri_region,
     criteria,
-    duan_quad_closed,
-    duan_tri_closed,
-    duan_value,
+    duan_quad_closed_grid,
+    duan_tri_closed_grid,
+    evaluate_criterion,
     output_cm,
     parse_criterion,
-    ppt_value,
     reduced_cm,
     sweep_criteria,
-    tri_regions,
     two_mode_squeezer,
     vacuum_cm,
 )
-from delcfwm.criteria import evaluate_criterion, evaluate_criterion_batch
+from delcfwm.criteria import evaluate_criterion_batch
 
 
 def tri_cm(big1, big2):
@@ -38,141 +36,133 @@ def quad_cm(big1, big2, big3):
 
 class TestDuanValue:
     def test_two_vacua_saturate_bound(self):
-        assert duan_value(vacuum_cm(2), 1, 2).value == DUAN_BOUND
+        assert evaluate_criterion(vacuum_cm(2), "D12") == DUAN_BOUND
 
     def test_tri_pair_13(self):
-        result = duan_value(tri_cm(1.2, 1.3), 1, 3)
-        np.testing.assert_allclose(result.value, 9.7344, rtol=1e-12)
-        assert not result.entangled
+        value = evaluate_criterion(tri_cm(1.2, 1.3), "D13")
+        np.testing.assert_allclose(value, 9.7344, rtol=1e-12)
+        assert not value < DUAN_BOUND
 
     def test_two_mode_squeezed(self):
         big_g = 1.2
         small_g = np.sqrt(big_g**2 - 1.0)
         sigma = output_cm(two_mode_squeezer(2, 1, 2, big_g))
-        result = duan_value(sigma, 1, 2)
-        np.testing.assert_allclose(result.value, 4.0 * (big_g - small_g) ** 2, rtol=1e-12)
-        assert result.value == pytest.approx(1.152, abs=1e-3)
-        assert result.entangled
+        value = evaluate_criterion(sigma, "D12")
+        np.testing.assert_allclose(value, 4.0 * (big_g - small_g) ** 2, rtol=1e-12)
+        assert value == pytest.approx(1.152, abs=1e-3)
+        assert value < DUAN_BOUND
 
     def test_symmetric_in_modes(self):
-        sigma = tri_cm(1.4, 1.2)
-        assert duan_value(sigma, 1, 2).value == duan_value(sigma, 2, 1).value
+        sigma = tri_cm(1.4, 1.2)[None]
+        d12 = evaluate_criterion_batch(sigma, Criterion("duan", (1,), (2,), "D12"))
+        d21 = evaluate_criterion_batch(sigma, Criterion("duan", (2,), (1,), "D21"))
+        assert d12 == d21
 
     def test_index_errors(self):
-        with pytest.raises(ValueError):
-            duan_value(vacuum_cm(2), 1, 1)
-        with pytest.raises(ValueError):
-            duan_value(vacuum_cm(2), 1, 3)
+        with pytest.raises(CriterionError):
+            evaluate_criterion(vacuum_cm(2), "D11")
+        with pytest.raises(CriterionError):
+            evaluate_criterion(vacuum_cm(2), "D13")
 
 
 class TestClosedFormsTri:
     @pytest.mark.parametrize("pair", ["12", "13", "23"])
     def test_boundary_is_four(self, pair):
-        assert duan_tri_closed(GainSet(1.0, 1.0), pair) == pytest.approx(4.0, abs=1e-12)
+        assert duan_tri_closed_grid(pair, 1.0, 1.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_pair_13_value(self):
-        assert duan_tri_closed(GainSet(1.2, 1.3), "13") == pytest.approx(9.7344, rel=1e-12)
+        assert duan_tri_closed_grid("13", 1.2, 1.3) == pytest.approx(9.7344, rel=1e-12)
 
     def test_pair_23_value(self):
-        assert duan_tri_closed(GainSet(1.3, 1.05), "23") == pytest.approx(3.6009, abs=1e-3)
+        assert duan_tri_closed_grid("23", 1.3, 1.05) == pytest.approx(3.6009, abs=1e-3)
 
     def test_invalid_pair(self):
         with pytest.raises(ValueError):
-            duan_tri_closed(GainSet(1.2, 1.3), "31")
+            duan_tri_closed_grid("31", 1.2, 1.3)
 
     @pytest.mark.parametrize("pair", ["12", "13", "23"])
     def test_matches_cm_route(self, pair):
         rng = np.random.default_rng(2)
-        i, j = int(pair[0]), int(pair[1])
         for _ in range(50):
             big1, big2 = rng.uniform(1.0, 3.0, size=2)
-            closed = duan_tri_closed(GainSet(big1, big2), pair)
-            from_cm = duan_value(tri_cm(big1, big2), i, j).value
+            closed = duan_tri_closed_grid(pair, big1, big2)
+            from_cm = evaluate_criterion(tri_cm(big1, big2), f"D{pair}")
             assert abs(closed - from_cm) < 1e-9
 
 
 class TestClosedFormsQuad:
     @pytest.mark.parametrize("pair", ["12", "13", "14", "23", "24", "34"])
     def test_boundary_is_four(self, pair):
-        assert duan_quad_closed(GainSet(1.0, 1.0, 1.0), pair) == pytest.approx(4.0, abs=1e-12)
+        assert duan_quad_closed_grid(pair, 1.0, 1.0, 1.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_d13_equals_d24(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            gains = GainSet(*rng.uniform(1.0, 2.0, size=3))
-            assert duan_quad_closed(gains, "13") == duan_quad_closed(gains, "24")
+            gains = rng.uniform(1.0, 2.0, size=3)
+            assert duan_quad_closed_grid("13", *gains) == duan_quad_closed_grid("24", *gains)
 
     def test_d14_independent_of_g2(self):
-        base = duan_quad_closed(GainSet(1.1, 1.0, 1.2), "14")
+        base = duan_quad_closed_grid("14", 1.1, 1.0, 1.2)
         for big2 in (1.3, 1.7, 2.0):
-            assert duan_quad_closed(GainSet(1.1, big2, 1.2), "14") == base
+            assert duan_quad_closed_grid("14", 1.1, big2, 1.2) == base
 
     def test_d23_independent_of_g3(self):
-        base = duan_quad_closed(GainSet(1.1, 1.2, 1.0), "23")
+        base = duan_quad_closed_grid("23", 1.1, 1.2, 1.0)
         for big3 in (1.3, 1.7, 2.0):
-            assert duan_quad_closed(GainSet(1.1, 1.2, big3), "23") == base
+            assert duan_quad_closed_grid("23", 1.1, 1.2, big3) == base
 
     @pytest.mark.parametrize("pair", ["12", "13", "14", "23", "24", "34"])
     def test_matches_cm_route(self, pair):
         rng = np.random.default_rng(4)
-        i, j = int(pair[0]), int(pair[1])
         for _ in range(30):
             big = rng.uniform(1.0, 2.0, size=3)
-            closed = duan_quad_closed(GainSet(*big), pair)
-            from_cm = duan_value(quad_cm(*big), i, j).value
+            closed = duan_quad_closed_grid(pair, *big)
+            from_cm = evaluate_criterion(quad_cm(*big), f"D{pair}")
             assert abs(closed - from_cm) < 1e-9
 
     def test_invalid_pair(self):
         with pytest.raises(ValueError):
-            duan_quad_closed(GainSet(1.1, 1.2, 1.3), "15")
+            duan_quad_closed_grid("15", 1.1, 1.2, 1.3)
 
 
 class TestMonotonicity:
     @pytest.mark.parametrize("big1", [1.1, 1.2, 1.5])
     def test_d12_nondecreasing_in_g2(self, big1):
         grid = 1.0 + 0.02 * np.arange(101)
-        values = [duan_tri_closed(GainSet(big1, float(b2)), "12") for b2 in grid]
+        values = [duan_tri_closed_grid("12", big1, float(b2)) for b2 in grid]
         assert np.all(np.diff(values) >= -1e-12)
 
 
 class TestPPT:
     def test_vacuum_value_zero(self):
-        for subset in ({1}, {2}, {1, 3}):
-            result = ppt_value(vacuum_cm(3), ModeBipartition(3, subset))
-            assert result.value == pytest.approx(0.0, abs=1e-12)
-            assert not result.entangled
+        for label in ("PPT:1|23", "PPT:2|13", "PPT:13|2"):
+            value = evaluate_criterion(vacuum_cm(3), label)
+            assert value == pytest.approx(0.0, abs=1e-12)
+            assert not value < 0.0
 
     def test_unit_gain_squeezer(self):
         sigma = output_cm(two_mode_squeezer(2, 1, 2, 1.0))
-        result = ppt_value(sigma, ModeBipartition(2, {1}))
-        assert result.value == pytest.approx(0.0, abs=1e-12)
+        assert evaluate_criterion(sigma, "PPT:1|2") == pytest.approx(0.0, abs=1e-12)
 
     def test_two_mode_squeezed_entangled(self):
         big_g = 1.2
         small_g = np.sqrt(big_g**2 - 1.0)
         sigma = output_cm(two_mode_squeezer(2, 1, 2, big_g))
-        result = ppt_value(sigma, ModeBipartition(2, {1}))
-        np.testing.assert_allclose(result.value, (big_g - small_g) ** 2 - 1.0, rtol=1e-12)
-        assert result.entangled
-        assert result.sufficiency == "necessary_and_sufficient"
+        value = evaluate_criterion(sigma, "PPT:1|2")
+        np.testing.assert_allclose(value, (big_g - small_g) ** 2 - 1.0, rtol=1e-12)
+        assert value < 0.0
 
     def test_modes_1_3_never_entangled(self):
         for big1 in (1.05, 1.5, 2.5):
             for big2 in (1.05, 1.5, 2.5):
                 sigma = reduced_cm(tri_cm(big1, big2), [1, 3])
-                assert ppt_value(sigma, ModeBipartition(2, {1})).value >= 0.0
-
-    def test_sufficiency_flag_m_vs_n(self):
-        sigma = quad_cm(1.3, 1.2, 1.1)
-        result = ppt_value(sigma, ModeBipartition(4, {1, 2}))
-        assert result.sufficiency == "sufficient_only"
+                assert evaluate_criterion(sigma, "PPT:1|2") >= 0.0
 
     def test_complement_symmetry_pure_state(self):
         sigma = tri_cm(1.6, 1.3)
-        for subset in ({1}, {2}, {3}):
-            a = ppt_value(sigma, ModeBipartition(3, subset)).value
-            comp = frozenset({1, 2, 3}) - subset
-            b = ppt_value(sigma, ModeBipartition(3, comp)).value
+        for side, rest in (("1", "23"), ("2", "13"), ("3", "12")):
+            a = evaluate_criterion(sigma, f"PPT:{side}|{rest}")
+            b = evaluate_criterion(sigma, f"PPT:{rest}|{side}")
             assert abs(a - b) < 1e-10
 
     def test_duan_violation_implies_npt(self):
@@ -181,9 +171,9 @@ class TestPPT:
             for big2 in grid:
                 sigma = tri_cm(float(big1), float(big2))
                 for i, j in ((1, 2), (2, 3), (1, 3)):
-                    if duan_value(sigma, i, j).entangled:
+                    if evaluate_criterion(sigma, f"D{i}{j}") < DUAN_BOUND:
                         pair_cm = reduced_cm(sigma, [i, j])
-                        assert ppt_value(pair_cm, ModeBipartition(2, {1})).entangled
+                        assert evaluate_criterion(pair_cm, "PPT:1|2") < 0.0
 
     def test_tripartite_sign_pattern_follows_bipartite(self):
         # away from the G=1 boundary the entanglement flags of 1|{23} track
@@ -195,11 +185,11 @@ class TestPPT:
         for big1 in grid:
             for big2 in grid:
                 sigma = tri_cm(float(big1), float(big2))
-                p1_23 = ppt_value(sigma, ModeBipartition(3, {1})).value
-                p12 = ppt_value(reduced_cm(sigma, [1, 2]), ModeBipartition(2, {1})).value
+                p1_23 = evaluate_criterion(sigma, "PPT:1|23")
+                p12 = evaluate_criterion(reduced_cm(sigma, [1, 2]), "PPT:1|2")
                 assert flag(p1_23) == flag(p12)
-                p3_12 = ppt_value(sigma, ModeBipartition(3, {3})).value
-                p23 = ppt_value(reduced_cm(sigma, [2, 3]), ModeBipartition(2, {1})).value
+                p3_12 = evaluate_criterion(sigma, "PPT:3|12")
+                p23 = evaluate_criterion(reduced_cm(sigma, [2, 3]), "PPT:1|2")
                 assert flag(p3_12) == flag(p23)
 
 
@@ -215,24 +205,26 @@ class TestRegionClassifier:
         ],
     )
     def test_witness_points(self, gains, region):
-        assert classify_tri_region(GainSet(*gains)) == region
+        assert classify_tri_region(*gains) == region
 
     def test_vectorised_matches_scalar_definition(self):
         v = 1.0 + 0.05 * np.arange(41)
         g1, g2 = np.meshgrid(v, v, indexing="ij")
-        regions = tri_regions(g1, g2)
+        regions = classify_tri_region(g1, g2)
         assert regions.shape == g1.shape
         for k in np.ndindex(g1.shape):
-            gains = GainSet(float(g1[k]), float(g2[k]))
-            d12 = duan_tri_closed(gains, "12") < DUAN_BOUND
-            d23 = duan_tri_closed(gains, "23") < DUAN_BOUND
+            d12 = duan_tri_closed_grid("12", float(g1[k]), float(g2[k])) < DUAN_BOUND
+            d23 = duan_tri_closed_grid("23", float(g1[k]), float(g2[k])) < DUAN_BOUND
             want = "III" if d12 and d23 else "I" if d12 else "II" if d23 else "none"
             assert regions[k] == want
         assert set(regions.ravel().tolist()) == {"I", "II", "III", "none"}
 
-    def test_four_gain_set_rejected(self):
-        with pytest.raises(ValueError):
-            classify_tri_region(GainSet(1.2, 1.3, 1.1))
+    @pytest.mark.parametrize("gains", [(0.5, 1.2), (1.2, float("nan")), ([1.1, 0.99], 1.2)])
+    def test_gain_below_one_rejected(self, gains):
+        with pytest.raises(ValueError, match="gains must be >= 1"):
+            classify_tri_region(*gains)
+        with pytest.raises(ValueError, match="gains must be >= 1"):
+            duan_quad_closed_grid("12", *gains, 1.1)
 
 
 class TestCriterionParsing:
@@ -252,7 +244,7 @@ class TestCriterionParsing:
     def test_reduced_ppt_matches_manual_route(self):
         sigma = quad_cm(1.4, 1.3, 1.1)
         value = evaluate_criterion(sigma, parse_criterion("PPT:1|3", 4))
-        manual = ppt_value(reduced_cm(sigma, [1, 3]), ModeBipartition(2, {1})).value
+        manual = evaluate_criterion(reduced_cm(sigma, [1, 3]), "PPT:1|2")
         assert value == pytest.approx(manual, abs=1e-12)
 
     def test_batch_matches_scalar(self):
@@ -337,7 +329,7 @@ class TestSweep:
         sweep = sweep_criteria("tri", {"G1": axis, "G2": axis}, ["D13"])
         assert sweep.region.shape == (21 * 21,)
         assert sweep.region.tolist() == [
-            classify_tri_region(GainSet(g1, g2)) for g1, g2 in sweep.points.tolist()
+            classify_tri_region(g1, g2) for g1, g2 in sweep.points.tolist()
         ]
 
     def test_unknown_label_rejected(self):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from delcfwm import (
+    CriterionError,
     GainSet,
-    ModeBipartition,
     build_tri_transform,
+    evaluate_criterion,
     evolve_cm,
     is_symplectic,
     output_cm,
-    partial_transpose,
+    parse_criterion,
     reduced_cm,
     symplectic_eigenvalues,
     symplectic_form,
@@ -68,6 +69,13 @@ class TestIsSymplectic:
         with pytest.raises(ValueError):
             is_symplectic(np.eye(3))
 
+    def test_stack_reports_its_worst_member(self):
+        stack = np.stack([build_tri_transform(GainSet(1.2, 1.3)), np.eye(6)])
+        assert is_symplectic(stack, tol=1e-12) == is_symplectic(stack[0], tol=1e-12)
+        stack[1, 0, 0] += 1e-3
+        ok, residual = is_symplectic(stack[None])
+        assert not ok and residual == is_symplectic(stack[1])[1]
+
 
 class TestEvolveCm:
     def test_identity_on_vacuum(self):
@@ -109,8 +117,8 @@ class TestSymplecticEigenvalues:
         big_g = 1.2
         small_g = np.sqrt(big_g**2 - 1.0)
         sigma = output_cm(two_mode_squeezer(2, 1, 2, big_g))
-        flipped = partial_transpose(sigma, ModeBipartition(2, {1}))
-        nus = symplectic_eigenvalues(flipped)
+        flip = np.array([1.0, -1.0, 1.0, 1.0])  # the sign of P1
+        nus = symplectic_eigenvalues(flip[:, None] * sigma * flip[None, :])
         np.testing.assert_allclose(
             nus, [(big_g - small_g) ** 2, (big_g + small_g) ** 2], rtol=1e-12
         )
@@ -138,41 +146,25 @@ class TestSymplecticEigenvalues:
 
 
 class TestPartialTranspose:
-    def _random_cm(self, n, seed=0):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(2 * n, 2 * n))
-        return a @ a.T + np.eye(2 * n)
+    """Partial transposition as PPT labels name it and evaluate_criterion applies it."""
 
     def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            ModeBipartition(3, set())
+        with pytest.raises(CriterionError):
+            evaluate_criterion(vacuum_cm(3), "PPT:|123")
 
     def test_full_subset_rejected(self):
-        with pytest.raises(ValueError):
-            ModeBipartition(3, {1, 2, 3})
-
-    def test_involution(self):
-        sigma = self._random_cm(3)
-        part = ModeBipartition(3, {1})
-        np.testing.assert_array_equal(
-            partial_transpose(partial_transpose(sigma, part), part), sigma
-        )
+        with pytest.raises(CriterionError):
+            evaluate_criterion(vacuum_cm(3), "PPT:123|")
 
     def test_vacuum_unchanged(self):
-        for subset in ({1}, {2}, {1, 3}):
-            np.testing.assert_array_equal(
-                partial_transpose(vacuum_cm(3), ModeBipartition(3, subset)), vacuum_cm(3)
-            )
-
-    def test_preserves_symmetry_and_diagonal(self):
-        sigma = self._random_cm(3, seed=5)
-        flipped = partial_transpose(sigma, ModeBipartition(3, {2, 3}))
-        np.testing.assert_array_equal(flipped, flipped.T)
-        np.testing.assert_array_equal(np.diag(flipped), np.diag(sigma))
+        for label in ("PPT:1|23", "PPT:2|13", "PPT:13|2"):
+            assert evaluate_criterion(vacuum_cm(3), label) == 0.0
 
     def test_wrong_mode_count(self):
-        with pytest.raises(ValueError):
-            partial_transpose(vacuum_cm(3), ModeBipartition(2, {1}))
+        with pytest.raises(CriterionError):
+            evaluate_criterion(vacuum_cm(2), "PPT:1|3")
+        with pytest.raises(CriterionError):
+            evaluate_criterion(vacuum_cm(2), parse_criterion("PPT:1|3", 3))
 
 
 class TestReducedCm:
@@ -201,14 +193,14 @@ class TestReducedCm:
 
 
 class TestModeBipartition:
-    def test_complement(self):
-        part = ModeBipartition(4, {2, 4})
-        assert part.set_b == frozenset({1, 3})
-        assert part.min_side == 2
+    """Bipartitions as PPT labels name them."""
 
     def test_canonical_from_any_iterable(self):
-        assert ModeBipartition(3, [2, 2, 1]).set_a == frozenset({1, 2})
+        crit = parse_criterion("PPT:42|31", 4)
+        assert crit.modes_a == (2, 4) and crit.modes_b == (1, 3)
+        with pytest.raises(CriterionError):
+            parse_criterion("PPT:221|3", 3)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            ModeBipartition(2, {3})
+        with pytest.raises(CriterionError):
+            parse_criterion("PPT:3|1", 2)

@@ -7,6 +7,7 @@ cover gains up to 50 on every three- and four-mode label, and invalid input.
 """
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -16,16 +17,12 @@ from hypothesis import strategies as st
 import oracle
 from delcfwm.cli import main
 from delcfwm.criteria import (
+    CriterionError,
     evaluate_criterion,
     evaluate_criterion_batch,
     parse_criterion,
-    ppt_value,
 )
-from delcfwm.gaussian import (
-    ModeBipartition,
-    _min_symplectic_eigenvalue_batch,
-    symplectic_eigenvalues,
-)
+from delcfwm.gaussian import _min_symplectic_eigenvalue_batch, symplectic_eigenvalues
 from delcfwm.presets import load_preset
 from test_cli import QUAD_GRID, QUAD_LABELS, TRI_GRID, TRI_LABELS, write_config
 
@@ -182,12 +179,9 @@ def test_non_positive_definite_rejected(scale, n_modes):
     with pytest.raises(ValueError, match="positive definite"):
         symplectic_eigenvalues(sigma)
     if n_modes > 1:
-        part = ModeBipartition(n_modes, {1})
+        label = f"PPT:1|{''.join(map(str, range(2, n_modes + 1)))}"
         with pytest.raises(ValueError, match="positive definite"):
-            ppt_value(sigma, part)
-        crit = parse_criterion(f"PPT:1|{''.join(map(str, range(2, n_modes + 1)))}", n_modes)
-        with pytest.raises(ValueError, match="positive definite"):
-            evaluate_criterion(sigma, crit)
+            evaluate_criterion(sigma, label)
 
 
 def test_closed_form_rejects_determinant_below_one():
@@ -195,6 +189,12 @@ def test_closed_form_rejects_determinant_below_one():
     with pytest.raises(ValueError, match="determinant below 1"):
         evaluate_criterion_batch(0.5 * np.eye(6)[None], crit, pure=True)
     assert evaluate_criterion_batch(np.eye(6)[None], crit, pure=True)[0] == 0.0
+
+
+@pytest.mark.parametrize("label", ["D13", "PPT:1|3", "PPT:1|23"])
+def test_mode_beyond_the_matrices_rejected(label):
+    with pytest.raises(CriterionError, match=re.escape(f"{label} names a mode outside 1..2")):
+        evaluate_criterion_batch(np.eye(4)[None], parse_criterion(label, 3))
 
 
 def test_non_finite_matrix_rejected():

@@ -11,13 +11,10 @@ from .coherence import (
     analytic_resonances,
     channel_capacity,
     criteria_profile,
-    deviation_quadruple,
-    deviation_tuple,
     find_peaks,
     gain_profile,
     rho3_denominator,
     rho3_dressed,
-    rho3_numerator,
     rho3_undressed,
 )
 from .criteria import (
@@ -38,11 +35,9 @@ from .fock import (
     TruncationError,
     covariance_from_state,
     evolve_tms,
-    mean_photon_number,
     vacuum_state,
 )
 from .gaussian import (
-    evolve_cm,
     is_symplectic,
     reduced_cm,
     symplectic_eigenvalues,
@@ -51,11 +46,9 @@ from .gaussian import (
 )
 from .model import (
     GainSet,
-    PumpingParams,
     build_quad_transform,
     build_tri_transform,
     conjugate_gain,
-    gain_from_interaction,
     output_cm,
     quad_transform_batch,
     tri_transform_batch,

@@ -31,6 +31,7 @@ from .coherence import (
     AtomicParams,
     DressingCase,
     ResonanceError,
+    _check_step,
     analytic_resonances,
     channel_capacity,
     criteria_profile,
@@ -141,10 +142,23 @@ def _dressing_case(name) -> DressingCase:
         raise ConfigError(f"unknown dressing case {name!r}; valid: {valid}") from exc
 
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {json.dumps(value)}") from None
+
+
+def _string_list(cfg, key: str) -> list:
+    if isinstance(value := cfg.get(key, []), list) and all(isinstance(v, str) for v in value):
+        return value
+    raise ConfigError(f"'{key}' must be a list of strings, got {json.dumps(value)}")
+
+
 def _grid_axis(spec, what: str) -> GridAxis:
     if not isinstance(spec, dict) or not {"start", "stop", "step"} <= set(spec):
         raise ConfigError(f"{what} must be an object with start, stop and step")
-    return GridAxis(*(float(spec[k]) for k in ("start", "stop", "step")))
+    return GridAxis(*(_number(spec[k], f"{what} {k}") for k in ("start", "stop", "step")))
 
 
 def _grid_array(spec) -> np.ndarray:
@@ -160,13 +174,11 @@ def _grid_array(spec) -> np.ndarray:
 def _gain_axes(spec) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("'gains' must be an object mapping G1/G2/G3 to values or ranges")
-    axes = {}
-    for name, value in spec.items():
-        if isinstance(value, dict):
-            axes[name] = _grid_axis(value, f"gain range {name}")
-        else:
-            axes[name] = float(value)
-    return axes
+    return {
+        name: _grid_axis(value, f"gain range {name}") if isinstance(value, dict)
+        else _number(value, f"gain {name}")
+        for name, value in spec.items()
+    }
 
 
 #: rows formatted and written per block
@@ -262,7 +274,7 @@ def _cmd_region_scan(cfg) -> int:
     system = cfg.get("system")
     axes = _gain_axes(cfg.get("gains", {}))
     try:
-        sweep = sweep_criteria(system, axes, cfg.get("criteria", []), jobs=cfg["jobs"])
+        sweep = sweep_criteria(system, axes, _string_list(cfg, "criteria"), jobs=cfg["jobs"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     n_points, n_crits = sweep.values.shape
@@ -285,7 +297,7 @@ def _row_columns(sweep) -> list:
 def _spectrum_cases(cfg) -> list:
     if "case" in cfg:
         return [_dressing_case(cfg["case"])]
-    cases = cfg.get("cases", [])
+    cases = _string_list(cfg, "cases")
     if not cases:
         raise ConfigError("spectrum needs a 'case' or a nonempty 'cases' list")
     return [_dressing_case(c) for c in cases]
@@ -294,11 +306,10 @@ def _spectrum_cases(cfg) -> list:
 def _cmd_spectrum(cfg) -> int:
     params = _atomic_params(cfg)
     grid = _grid_array(cfg.get("grid"))
-    step = float(grid[1] - grid[0])
-    if step > params.min_gamma:
-        raise ConfigError(
-            f"grid step {step:g} MHz too coarse: must be <= min gamma {params.min_gamma:g} MHz"
-        )
+    try:
+        _check_step(float(grid[1] - grid[0]), params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     cases = _spectrum_cases(cfg)
     if len(cases) > 1 and cfg["out"] is None:
         raise ConfigError("multiple spectrum cases need --out (one file per case)")
@@ -328,6 +339,7 @@ def _cmd_channels(cfg) -> int:
     warnings = []
     try:
         channels = analytic_resonances(case, params)
+        peaks = find_peaks(case, params, grid)  # applies the grid-step rule
     except ResonanceError as exc:
         doc = {
             "case": case.value,
@@ -338,10 +350,6 @@ def _cmd_channels(cfg) -> int:
         }
         _write_channels(cfg, doc)
         return EXIT_OK
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        peaks = find_peaks(case, params, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if len(peaks) != len(channels):
@@ -397,15 +405,12 @@ def _cmd_profile(cfg) -> int:
     gains = cfg.get("gains", {})
     if not isinstance(gains, dict) or "G2" not in gains:
         raise ConfigError("profile needs 'gains' with at least G2")
-    try:
-        amplitude = float(cfg.get("amplitude", 1.0))
-        g2 = float(gains["G2"])
-        g3 = float(gains["G3"]) if gains.get("G3") is not None else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad profile gains/amplitude: {exc}") from exc
+    amplitude = _number(cfg.get("amplitude", 1.0), "'amplitude'")
+    g2 = _number(gains["G2"], "gain G2")
+    g3 = _number(gains["G3"], "gain G3") if gains.get("G3") is not None else None
     try:
         prof = criteria_profile(
-            system, case, params, grid, amplitude, g2, g3, cfg.get("criteria", [])
+            system, case, params, grid, amplitude, g2, g3, _string_list(cfg, "criteria")
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -121,16 +121,6 @@ class Peak:
     height: float
 
 
-def deviation_tuple(delta1: float) -> tuple:
-    """Deviations (delta1, delta2, delta3) of the three generated photons."""
-    return (delta1, -delta1, delta1)
-
-
-def deviation_quadruple(delta1: float) -> tuple:
-    """Four-deviation form (delta1, delta2, delta2', delta3); sums to zero."""
-    return (delta1, -delta1, -delta1, delta1)
-
-
 def channel_capacity(n_channels: int) -> int:
     """Information capacity n^3 of n coherent channels."""
     n = int(n_channels)
@@ -180,12 +170,6 @@ def _chain_parts(case, p: AtomicParams, d):
     elif case is DressingCase.RHO3_BY_E1:
         f3 = f3 + p.omega1 * p.omega1 / (p.gamma33 + 1j * (d + p.delta1p - p.delta1))
     return num, f1, f2, f3
-
-
-def rho3_numerator(case, p: AtomicParams) -> complex:
-    """The constant -i * (Rabi-frequency product) in front of the chain."""
-    num, _, _, _ = _chain_parts(case, p, 0.0)
-    return -1j * num
 
 
 def rho3_denominator(case, p: AtomicParams, delta1):
@@ -277,6 +261,14 @@ def _uniform_step(grid: np.ndarray) -> float:
     return step
 
 
+def _check_step(step: float, p: AtomicParams) -> None:
+    """ValueError unless a delta1 grid step resolves every line: step <= min(gamma)."""
+    if step > p.min_gamma:
+        raise ValueError(
+            f"grid step {step:g} MHz is too coarse: must be <= min gamma {p.min_gamma:g} MHz"
+        )
+
+
 def find_peaks(case, p: AtomicParams, grid, on: str = "amplitude") -> list:
     """Local maxima of the spectrum on a uniform delta1 grid.
 
@@ -288,10 +280,7 @@ def find_peaks(case, p: AtomicParams, grid, on: str = "amplitude") -> list:
     """
     grid = np.asarray(grid, dtype=float)
     step = _uniform_step(grid)
-    if step > p.min_gamma:
-        raise ValueError(
-            f"grid step {step:g} MHz is too coarse: must be <= min gamma {p.min_gamma:g} MHz"
-        )
+    _check_step(step, p)
     margin = 5.0 * p.max_gamma
     positions = [ch.delta1 for ch in analytic_resonances(case, p)]
     lo, hi = grid[0] + margin, grid[-1] - margin

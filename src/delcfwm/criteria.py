@@ -28,54 +28,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _as_cm, _min_symplectic_eigenvalue_batch
-from .model import quad_transform_batch, tri_transform_batch
+from .gaussian import _as_cm, _min_symplectic_eigenvalue_batch, _submatrix
+from .model import _gain_arrays, quad_transform_batch, tri_transform_batch
 
 DUAN_BOUND = 4.0
 
 
-def _gain_arrays(*gains) -> list:
-    """The amplitude gains as float arrays; ValueError unless all are >= 1."""
-    arrays = [np.asarray(g, dtype=float) for g in gains]
-    if not all((a >= 1.0).all() for a in arrays):
-        raise ValueError("amplitude gains must be >= 1")
-    return arrays
-
-
 def duan_tri_closed_grid(pair: str, g1_amp, g2_amp):
     """Vectorized closed-form three-mode Duan values over gain arrays."""
-    big1, big2 = _gain_arrays(g1_amp, g2_amp)
+    (big1, big2), (c1, c2) = _gain_arrays(g1_amp, g2_amp)
     if pair == "12":
-        c1 = np.sqrt(big1**2 - 1.0)
         return 4.0 * (big1**2 * (big2**2 + 1.0) - 2.0 * big1 * big2 * c1 - 1.0)
     if pair == "13":
         return 4.0 * big1**2 * big2**2
     if pair == "23":
-        c2 = np.sqrt(big2**2 - 1.0)
         return 4.0 * big1**2 * (2.0 * big2**2 - 2.0 * big2 * c2 - 1.0)
     raise ValueError(f"unknown three-mode pair label {pair!r}; expected 12, 13 or 23")
 
 
 def duan_quad_closed_grid(pair: str, g1_amp, g2_amp, g3_amp):
     """Vectorized closed-form four-mode Duan values over gain arrays."""
-    big1, big2, big3 = _gain_arrays(g1_amp, g2_amp, g3_amp)
+    (big1, big2, big3), (c1, c2, c3) = _gain_arrays(g1_amp, g2_amp, g3_amp)
     if pair == "12":
-        c1 = np.sqrt(big1**2 - 1.0)
         return 4.0 * (
             big1**2 * big2**2 + big1**2 * big3**2 - 2.0 * big1 * big2 * big3 * c1 - 1.0
         )
     if pair in ("13", "24"):
         return 4.0 * big1**2 * (big2**2 + big3**2 - 1.0)
     if pair == "14":
-        c3 = np.sqrt(big3**2 - 1.0)
         return 4.0 * big1**2 * (2.0 * big3**2 - 2.0 * big3 * c3 - 1.0)
     if pair == "23":
-        c2 = np.sqrt(big2**2 - 1.0)
         return 4.0 * big1**2 * (2.0 * big2**2 - 2.0 * big2 * c2 - 1.0)
     if pair == "34":
-        c1 = np.sqrt(big1**2 - 1.0)
-        c2 = np.sqrt(big2**2 - 1.0)
-        c3 = np.sqrt(big3**2 - 1.0)
         return 4.0 * (
             -2.0 * big1**2 + big1**2 * big2**2 + big1**2 * big3**2
             - 2.0 * big1 * c1 * c2 * c3 + 1.0
@@ -191,11 +175,9 @@ def evaluate_criterion_batch(sigmas: np.ndarray, crit: Criterion, pure: bool = F
     kept = sorted(crit.modes_a + crit.modes_b)
     single = min(crit.modes_a, crit.modes_b, key=len)
     if pure and len(kept) == n and len(single) == 1:
-        q = 2 * single[0] - 2
-        return _pure_split_value(sigmas[..., q:q + 2, q:q + 2])
+        return _pure_split_value(_submatrix(sigmas, single))
     if len(kept) < n:
-        idx = [q for m in kept for q in (2 * m - 2, 2 * m - 1)]
-        sigmas = sigmas[..., idx, :][..., :, idx]
+        sigmas = _submatrix(sigmas, kept)
     # partial transposition on side A flips the sign of its modes' P rows and columns
     signs = np.array([-1.0 if p and m in crit.modes_a else 1.0 for m in kept for p in (0, 1)])
     return _min_symplectic_eigenvalue_batch(signs[:, None] * sigmas * signs[None, :]) - 1.0

@@ -121,13 +121,6 @@ def evolve_tms(state: TruncatedState, i: int, j: int, r: float) -> TruncatedStat
     return TruncatedState(n, cutoff, amps, max(state.leakage, leak))
 
 
-def mean_photon_number(state: TruncatedState, mode: int) -> float:
-    """<n> of one mode."""
-    a_m = _mode_lowering(state.n_modes, state.cutoff, mode)
-    lowered = a_m @ state.amplitudes.ravel()
-    return float(np.real(np.vdot(lowered, lowered)))
-
-
 def covariance_from_state(state: TruncatedState) -> np.ndarray:
     """Quadrature covariance matrix from expectation values on the state.
 

@@ -32,11 +32,11 @@ def _as_even_square(mat, name: str, stack: bool = False) -> np.ndarray:
     return mat
 
 
-def _as_cm(sigma, name: str = "sigma") -> np.ndarray:
-    sigma = _as_even_square(sigma, name)
+def _as_cm(sigma) -> np.ndarray:
+    sigma = _as_even_square(sigma, "sigma")
     asym = np.max(np.abs(sigma - sigma.T))
     if asym > SYMMETRY_TOL:
-        raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+        raise ValueError(f"sigma is not symmetric (max asymmetry {asym:.3e})")
     return sigma
 
 
@@ -67,19 +67,6 @@ def is_symplectic(u, tol: float = 1e-10) -> tuple[bool, float]:
     omega = symplectic_form(u.shape[-1] // 2)
     residual = float(np.max(np.abs(u @ omega @ np.swapaxes(u, -1, -2) - omega)))
     return residual < tol, residual
-
-
-def evolve_cm(u, sigma_in) -> np.ndarray:
-    """Propagate a covariance matrix through a quadrature transform: U sigma U^T.
-
-    The result is explicitly symmetrized to remove floating-point asymmetry.
-    """
-    u = _as_even_square(u, "transform")
-    sigma_in = _as_cm(sigma_in, "sigma_in")
-    if u.shape != sigma_in.shape:
-        raise ValueError(f"dimension mismatch: transform {u.shape} vs sigma {sigma_in.shape}")
-    out = u @ sigma_in @ u.T
-    return (out + out.T) / 2.0
 
 
 def _symplectic_spectrum(sigmas: np.ndarray) -> tuple[np.ndarray, float]:
@@ -116,11 +103,10 @@ def _symplectic_spectrum(sigmas: np.ndarray) -> tuple[np.ndarray, float]:
     return ((pos + neg) / 2.0).reshape(sigmas.shape[:-2] + (n,)), residual
 
 
-def symplectic_eigenvalues(sigma, return_residual: bool = False):
+def symplectic_eigenvalues(sigma) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, ascending, as computed
     by :func:`_symplectic_spectrum` (which raises ValueError on invalid input)."""
-    nus, residual = _symplectic_spectrum(_as_cm(sigma)[None])
-    return (nus[0], residual) if return_residual else nus[0]
+    return _symplectic_spectrum(_as_cm(sigma)[None])[0][0]
 
 
 def _min_symplectic_eigenvalue_batch(sigmas: np.ndarray) -> np.ndarray:
@@ -138,5 +124,10 @@ def reduced_cm(sigma, modes) -> np.ndarray:
     bad = [m for m in kept if m < 1 or m > n]
     if bad:
         raise ValueError(f"modes {bad} out of range 1..{n}")
-    idx = [q for m in kept for q in (2 * (m - 1), 2 * (m - 1) + 1)]
-    return sigma[np.ix_(idx, idx)]
+    return _submatrix(sigma, kept)
+
+
+def _submatrix(sigmas: np.ndarray, modes) -> np.ndarray:
+    """X and P rows and columns of ``modes`` (from 1) of a stack (..., 2n, 2n), unchecked."""
+    idx = np.array([q for m in modes for q in (2 * m - 2, 2 * m - 1)])
+    return sigmas[..., idx[:, None], idx]

@@ -20,25 +20,6 @@ import numpy as np
 from .gaussian import _as_even_square
 
 
-@dataclass(frozen=True)
-class PumpingParams:
-    """Pumping-parameter magnitude (1/time) and interaction time."""
-
-    kappa: float
-    t_interaction: float
-
-    def __post_init__(self):
-        if not (self.kappa >= 0):
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if not (self.t_interaction >= 0):
-            raise ValueError(f"t_interaction must be >= 0, got {self.t_interaction}")
-
-
-def gain_from_interaction(p: PumpingParams) -> float:
-    """Amplitude gain G = cosh(kappa * t); equals 1 for zero pumping or time."""
-    return math.cosh(p.kappa * p.t_interaction)
-
-
 def conjugate_gain(g_amp: float) -> float:
     """g = sqrt(G^2 - 1), the conjugate-beam gain paired with amplitude gain G."""
     if not (g_amp >= 1.0):
@@ -61,20 +42,6 @@ class GainSet:
                 continue
             if not (val >= 1.0) or not math.isfinite(val):
                 raise ValueError(f"{name} must be a finite value >= 1, got {val}")
-
-    @property
-    def g1_conj(self) -> float:
-        return conjugate_gain(self.g1_amp)
-
-    @property
-    def g2_conj(self) -> float:
-        return conjugate_gain(self.g2_amp)
-
-    @property
-    def g3_conj(self) -> float:
-        if self.g3_amp is None:
-            raise ValueError("g3_amp is not set on this gain set")
-        return conjugate_gain(self.g3_amp)
 
 
 def two_mode_squeezer(n_modes: int, i: int, j: int, g_amp: float) -> np.ndarray:
@@ -104,10 +71,10 @@ def two_mode_squeezer(n_modes: int, i: int, j: int, g_amp: float) -> np.ndarray:
 
 
 def _gain_arrays(*gains):
+    """Gains G as broadcast float arrays and g = sqrt(G^2 - 1); ValueError unless all G >= 1."""
     arrays = [np.asarray(g, dtype=float) for g in gains]
-    for a in arrays:
-        if np.any(~(a >= 1.0)):
-            raise ValueError("all amplitude gains must be >= 1")
+    if not all((a >= 1.0).all() for a in arrays):
+        raise ValueError("all amplitude gains must be >= 1")
     big = np.broadcast_arrays(*arrays)
     small = [np.sqrt(g * g - 1.0) for g in big]
     return big, small

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -289,6 +290,15 @@ class TestConfigHandling:
              "the rho2_e1 channel positions are not finite for these parameters"),
             (["profile"], {"amplitude": 800.0},
              "criterion D12 is not finite (nan) at delta1=-21.4, G1=1.3245392179602084e+161"),
+            (["region-scan"], {"gains": {"G1": "abc", "G2": 1.2}},
+             'gain G1 must be a number, got "abc"'),
+            (["region-scan"], {"gains": {"G1": None}}, "gain G1 must be a number, got null"),
+            (["region-scan"], {"gains": {"G1": [1, 2]}}, "gain G1 must be a number, got [1, 2]"),
+            (["spectrum"], {"grid": {"start": None}}, "'grid' start must be a number, got null"),
+            (["region-scan"], {"criteria": "D12"},
+             "'criteria' must be a list of strings, got \"D12\""),
+            (["region-scan"], {"criteria": [5]}, "'criteria' must be a list of strings, got [5]"),
+            (["spectrum"], {"cases": "fwm1_s2"}, "'cases' must be a list of strings, got \"fwm1_s2\""),
         ],
     )
     def test_overflowing_config_exits_2(self, tmp_path, args, config, message):
@@ -445,10 +455,11 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 
 
 def test_benchmark_harness_names_exist():
-    """Every function the benchmark's tracer binds by name exists, so a
-    rename fails here instead of silently zeroing per-layer metrics."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
-    spec = importlib.util.spec_from_file_location("perfbench_launch", path)
+    """Every function the benchmark's tracer binds or its output checks
+    import by name exists, so a rename or deletion fails here instead of
+    silently zeroing per-layer metrics or breaking an output check."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_launch", bench / "launch.py")
     launch = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(launch)
     for layer, names in launch.STAGES.items():
@@ -458,3 +469,29 @@ def test_benchmark_harness_names_exist():
     cli = importlib.import_module(launch.LAYERS["cli"])
     for name in launch.HANDLERS:
         assert callable(getattr(cli, name, None)), f"delcfwm.cli.{name}"
+
+    # layers.py imports its sibling workloads.py by bare name, so its span
+    # sets are read from its source rather than by importing it
+    layers = ast.parse((bench / "layers.py").read_text(encoding="utf-8"))
+    span_sets = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in layers.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("TRANSFORMS", "SPECTRA")
+    }
+    assert set(span_sets) == {"TRANSFORMS", "SPECTRA"}
+    for span in set().union(*span_sets.values(), launch.ATTRS):
+        layer, name = span.split(".")
+        module = importlib.import_module(launch.LAYERS[layer])
+        assert callable(getattr(module, name, None)), f"{launch.LAYERS[layer]}.{name}"
+
+    checks = ast.parse((bench / "checks.py").read_text(encoding="utf-8"))
+    imports = [
+        node for node in ast.walk(checks)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "delcfwm"
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"

@@ -5,19 +5,17 @@ import pytest
 
 from delcfwm import (
     AtomicParams,
+    CoherentChannel,
     DressingCase,
     analytic_resonances,
     channel_capacity,
     criteria,
     criteria_profile,
-    deviation_quadruple,
-    deviation_tuple,
     duan_tri_closed_grid,
     find_peaks,
     gain_profile,
     rho3_denominator,
     rho3_dressed,
-    rho3_numerator,
     rho3_undressed,
 )
 
@@ -111,7 +109,7 @@ class TestDressedSpectra:
 
     def test_numerator_prefactor(self):
         p = AtomicParams()
-        value = rho3_numerator("fwm2_s3", p)
+        value = rho3_dressed("fwm2_s3", p, 3.0) * rho3_denominator("fwm2_s3", p, 3.0)
         assert value == pytest.approx(-1j * p.omega1 * p.omega2 * p.omega3)
 
     def test_rho1_dressing_only_rescales(self):
@@ -178,16 +176,22 @@ class TestAnalyticResonances:
                 assert ch.delta1 + ch.delta2 + ch.delta2p + ch.delta3 == 0.0
 
 
+def deviations(delta1):
+    """(delta1, delta2, delta2', delta3) of a channel at ``delta1``."""
+    ch = CoherentChannel.at("C1", delta1)
+    return (ch.delta1, ch.delta2, ch.delta2p, ch.delta3)
+
+
 class TestDeviationRelations:
     def test_zero(self):
-        assert deviation_tuple(0.0) == (0.0, 0.0, 0.0)
+        assert deviations(0.0) == (0.0, 0.0, 0.0, 0.0)
 
     def test_correlated_signs(self):
-        assert deviation_tuple(5.0) == (5.0, -5.0, 5.0)
+        assert deviations(5.0) == (5.0, -5.0, -5.0, 5.0)
 
     @pytest.mark.parametrize("d", [-17.25, 0.3, 8.0])
     def test_quadruple_sums_to_zero(self, d):
-        quad = deviation_quadruple(d)
+        quad = deviations(d)
         assert quad == (d, -d, -d, d)
         assert sum(quad) == 0.0
 

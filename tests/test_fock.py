@@ -11,7 +11,6 @@ from delcfwm import (
     covariance_from_state,
     evaluate_criterion,
     evolve_tms,
-    mean_photon_number,
     output_cm,
     two_mode_squeezer,
     vacuum_state,
@@ -33,6 +32,13 @@ class TestTruncatedState:
 
         with pytest.raises(ValueError):
             TruncatedState(2, 6, np.zeros((6, 5), dtype=complex))
+
+
+def mean_photon_number(state, mode):
+    """<n> = (V(X) + V(P) - 2) / 4 of one mode, from the reconstructed covariances."""
+    sigma = covariance_from_state(state)
+    q = 2 * mode - 2
+    return (sigma[q, q] + sigma[q + 1, q + 1] - 2.0) / 4.0
 
 
 class TestEvolveTms:

@@ -5,8 +5,8 @@ from delcfwm import (
     CriterionError,
     GainSet,
     build_tri_transform,
+    conjugate_gain,
     evaluate_criterion,
-    evolve_cm,
     is_symplectic,
     output_cm,
     parse_criterion,
@@ -16,6 +16,7 @@ from delcfwm import (
     two_mode_squeezer,
     vacuum_cm,
 )
+from delcfwm.gaussian import _symplectic_spectrum
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -78,28 +79,20 @@ class TestIsSymplectic:
 
 
 class TestEvolveCm:
+    """The vacuum evolved through a transform: output_cm(U) = U U^T."""
+
     def test_identity_on_vacuum(self):
-        np.testing.assert_array_equal(evolve_cm(np.eye(6), vacuum_cm(3)), np.eye(6))
+        np.testing.assert_array_equal(output_cm(np.eye(6)), np.eye(6))
 
     def test_tri_variance_entry(self):
         gains = GainSet(1.3, 1.1)
-        sigma = evolve_cm(build_tri_transform(gains), vacuum_cm(3))
-        expected = gains.g1_amp**2 + gains.g1_conj**2  # = 2 G1^2 - 1
+        sigma = output_cm(build_tri_transform(gains))
+        expected = gains.g1_amp**2 + conjugate_gain(gains.g1_amp) ** 2  # = 2 G1^2 - 1
         np.testing.assert_allclose(sigma[0, 0], expected, rtol=1e-14)
 
     def test_output_symmetric(self):
-        sigma = evolve_cm(build_tri_transform(GainSet(2.0, 1.7)), vacuum_cm(3))
+        sigma = output_cm(build_tri_transform(GainSet(2.0, 1.7)))
         np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            evolve_cm(np.eye(4), vacuum_cm(3))
-
-    def test_asymmetric_input_rejected(self):
-        bad = np.eye(4)
-        bad[0, 1] = 1e-3
-        with pytest.raises(ValueError):
-            evolve_cm(np.eye(4), bad)
 
 
 class TestSymplecticEigenvalues:
@@ -125,8 +118,14 @@ class TestSymplecticEigenvalues:
         assert abs(nus[0] - 0.288) < 1e-3
 
     def test_residual_reported(self):
-        _, residual = symplectic_eigenvalues(vacuum_cm(3), return_residual=True)
+        _, residual = _symplectic_spectrum(vacuum_cm(3)[None])
         assert residual < 1e-12
+
+    def test_asymmetric_input_rejected(self):
+        bad = np.eye(4)
+        bad[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            symplectic_eigenvalues(bad)
 
     def test_invariant_under_symplectic_conjugation(self):
         # thermal-like CM with distinct symplectic eigenvalues 1.5, 2, 3
@@ -139,7 +138,7 @@ class TestSymplecticEigenvalues:
             for _ in range(4):
                 i, j = pairs[rng.integers(len(pairs))]
                 s = two_mode_squeezer(3, i, j, float(rng.uniform(1.0, 1.5))) @ s
-            conjugated = evolve_cm(s, sigma)
+            conjugated = s @ sigma @ s.T
             np.testing.assert_allclose(
                 symplectic_eigenvalues(conjugated), reference, atol=1e-8
             )

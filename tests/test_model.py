@@ -3,11 +3,9 @@ import pytest
 
 from delcfwm import (
     GainSet,
-    PumpingParams,
     build_quad_transform,
     build_tri_transform,
     conjugate_gain,
-    gain_from_interaction,
     is_symplectic,
     output_cm,
     quad_transform_batch,
@@ -52,25 +50,6 @@ def literal_quad(big1, big2, big3):
     )
 
 
-class TestGainFromInteraction:
-    def test_no_pumping(self):
-        assert gain_from_interaction(PumpingParams(0.0, 5.0)) == 1.0
-
-    def test_no_time(self):
-        assert gain_from_interaction(PumpingParams(1.0, 0.0)) == 1.0
-
-    def test_value(self):
-        np.testing.assert_allclose(
-            gain_from_interaction(PumpingParams(0.5, 1.0)), np.cosh(0.5), rtol=1e-15
-        )
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            PumpingParams(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            PumpingParams(0.1, -1.0)
-
-
 class TestGainSet:
     def test_conjugate_gain_identity(self):
         for big in (1.0, 1.2, 2.0, 3.0):
@@ -85,10 +64,6 @@ class TestGainSet:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             GainSet(float("nan"), 1.2)
-
-    def test_missing_g3(self):
-        with pytest.raises(ValueError):
-            GainSet(1.1, 1.2).g3_conj
 
 
 class TestTwoModeSqueezer:

@@ -32,6 +32,7 @@ from .coherence import (
     DressingCase,
     ResonanceError,
     _check_step,
+    _spectrum,
     analytic_resonances,
     channel_capacity,
     criteria_profile,
@@ -127,7 +128,10 @@ def _atomic_params(cfg) -> AtomicParams:
     if not isinstance(params, dict):
         raise ConfigError("'params' must be an object of atomic parameters")
     try:
-        return AtomicParams(**params)
+        return AtomicParams(**{
+            key: None if value is None else _number(value, f"atomic parameter {key}")
+            for key, value in params.items()
+        })
     except TypeError as exc:
         raise ConfigError(f"bad atomic parameter: {exc}") from exc
     except ValueError as exc:
@@ -144,9 +148,11 @@ def _dressing_case(name) -> DressingCase:
 
 def _number(value, what: str) -> float:
     try:
-        return float(value)
+        if not isinstance(value, bool):  # float() would take JSON true/false as 1/0
+            return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {json.dumps(value)}") from None
+        pass
+    raise ConfigError(f"{what} must be a number, got {json.dumps(value)}")
 
 
 def _string_list(cfg, key: str) -> list:
@@ -306,29 +312,23 @@ def _spectrum_cases(cfg) -> list:
 def _cmd_spectrum(cfg) -> int:
     params = _atomic_params(cfg)
     grid = _grid_array(cfg.get("grid"))
-    try:
-        _check_step(float(grid[1] - grid[0]), params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     cases = _spectrum_cases(cfg)
     if len(cases) > 1 and cfg["out"] is None:
         raise ConfigError("multiple spectrum cases need --out (one file per case)")
+    try:
+        _check_step(float(grid[1] - grid[0]), params)
+        spectra = [(case, *_spectrum(case, params, grid)) for case in cases]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     header = ["delta1", "abs_rho_normalized", "abs_rho_raw", "real", "imag"]
-    spectra = []
-    for case in cases:
-        rho = rho3_dressed(case, params, grid)
-        raw = np.abs(rho)
+    for case, rho, raw in spectra:
         top = float(raw.max())
-        if not np.isfinite(rho).all():
-            raise ConfigError(f"the {case.value} spectrum is not finite on this grid")
         normalized = raw / top if top > 0 else np.zeros_like(raw)
-        spectra.append((case, [grid, normalized, raw, rho.real, rho.imag]))
-    for case, columns in spectra:
         case_cfg = dict(cfg)
         if len(cases) > 1:
             path = Path(cfg["out"])
             case_cfg["out"] = str(path.with_name(f"{path.stem}_{case.value}{path.suffix}"))
-        _emit_rows(case_cfg, header, columns)
+        _emit_rows(case_cfg, header, [grid, normalized, raw, rho.real, rho.imag])
     return EXIT_OK
 
 

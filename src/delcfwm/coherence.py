@@ -251,32 +251,62 @@ def analytic_resonances(case, p: AtomicParams) -> list:
     )
 
 
+def _step_roundoff(step: float) -> float:
+    """Roundoff allowed in a delta1 grid step computed as a difference of grid points."""
+    return 1e-9 * max(1.0, abs(step))
+
+
 def _uniform_step(grid: np.ndarray) -> float:
     if grid.ndim != 1 or grid.size < 5:
         raise ValueError("delta1 grid must be a 1-d array with at least 5 points")
     steps = np.diff(grid)
     step = float(steps[0])
-    if step <= 0 or np.max(np.abs(steps - step)) > 1e-9 * max(1.0, abs(step)):
+    if step <= 0 or np.max(np.abs(steps - step)) > _step_roundoff(step):
         raise ValueError("delta1 grid must be uniformly increasing")
     return step
 
 
 def _check_step(step: float, p: AtomicParams) -> None:
-    """ValueError unless a delta1 grid step resolves every line: step <= min(gamma)."""
-    if step > p.min_gamma:
+    """ValueError unless a delta1 grid step resolves every line: step <= min(gamma)
+    to within roundoff."""
+    if step - p.min_gamma > _step_roundoff(step):
         raise ValueError(
             f"grid step {step:g} MHz is too coarse: must be <= min gamma {p.min_gamma:g} MHz"
         )
 
 
-def find_peaks(case, p: AtomicParams, grid, on: str = "amplitude") -> list:
-    """Local maxima of the spectrum on a uniform delta1 grid.
+def _spectrum(case, p: AtomicParams, grid: np.ndarray):
+    """rho3 of ``case`` on a delta1 grid and its modulus; ValueError unless the
+    modulus is finite everywhere."""
+    rho = rho3_dressed(case, p, grid)
+    modulus = np.abs(rho)
+    if not np.isfinite(modulus).all():
+        raise ValueError(f"the {DressingCase(case).value} spectrum is not finite on this grid")
+    return rho, modulus
+
+
+def _peaks(grid: np.ndarray, y: np.ndarray, step: float) -> list:
+    """Interior maxima of ``y`` on a uniform grid: each run of equal values
+    above both neighbouring runs, at its leftmost point. A single-point run is
+    refined with a three-point parabola; a run touching either end is no peak."""
+    start = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    level = y[start]
+    run = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    i = start[run]
+    ym, y0, yp = y[i - 1], y[i], y[i + 1]
+    single = start[run + 1] - i == 1
+    shift = np.where(single, 0.5 * (ym - yp) / (ym - 2.0 * y0 + yp), 0.0)
+    return list(map(Peak, (grid[i] + shift * step).tolist(),
+                    (y0 - 0.25 * (ym - yp) * shift).tolist()))
+
+
+def find_peaks(case, p: AtomicParams, grid) -> list:
+    """Local maxima of |rho3| on a uniform delta1 grid.
 
     The grid must cover every analytic resonance with a margin of at least
-    5 * max(gamma) and its step must not exceed min(gamma). Interior strict
-    maxima are refined with a three-point parabola; a plateau counts once, at
-    its leftmost point. ``on="lineshape"`` searches 1/|denominator| instead
-    of |amplitude| (identical peaks whenever the numerator is nonzero).
+    5 * max(gamma), its step must not exceed min(gamma), and the spectrum
+    must be finite. Interior strict maxima are refined with a three-point
+    parabola; a plateau counts once, at its leftmost point.
     """
     grid = np.asarray(grid, dtype=float)
     step = _uniform_step(grid)
@@ -290,36 +320,7 @@ def find_peaks(case, p: AtomicParams, grid, on: str = "amplitude") -> list:
             f"grid [{grid[0]:g}, {grid[-1]:g}] does not cover resonances {outside} "
             f"with margin {margin:g} MHz"
         )
-    if on == "amplitude":
-        y = np.abs(rho3_dressed(case, p, grid))
-    elif on == "lineshape":
-        y = 1.0 / np.abs(rho3_denominator(case, p, grid))
-    else:
-        raise ValueError(f"unknown spectrum kind {on!r}")
-
-    peaks = []
-    i = 1
-    last = grid.size - 1
-    while i < last:
-        if y[i] <= y[i - 1]:
-            i += 1
-            continue
-        # run of equal values starting at i (single point in the generic case)
-        j = i
-        while j < last and y[j + 1] == y[i]:
-            j += 1
-        if j < last and y[j + 1] < y[i]:
-            if i == j:
-                ym, y0, yp = y[i - 1], y[i], y[i + 1]
-                curv = ym - 2.0 * y0 + yp
-                shift = 0.5 * (ym - yp) / curv
-                peaks.append(
-                    Peak(float(grid[i] + shift * step), float(y0 - 0.25 * (ym - yp) * shift))
-                )
-            else:
-                peaks.append(Peak(float(grid[i]), float(y[i])))
-        i = j + 1
-    return peaks
+    return _peaks(grid, _spectrum(case, p, grid)[1], step)
 
 
 # --------------------------------------------------------------------------
@@ -336,9 +337,7 @@ def gain_profile(case, p: AtomicParams, grid, amplitude: float = 1.0):
     if not (amplitude >= 0):
         raise ValueError("gain-mapping amplitude must be >= 0")
     grid = np.asarray(grid, dtype=float)
-    spectrum = np.abs(rho3_dressed(case, p, grid))
-    if not np.isfinite(spectrum).all():
-        raise ValueError(f"the {DressingCase(case).value} spectrum is not finite on this grid")
+    spectrum = _spectrum(case, p, grid)[1]
     top = spectrum.max() if spectrum.size else 0.0
     if top == 0.0:
         raise ValueError("spectrum is identically zero; cannot normalize the gain mapping")

@@ -175,6 +175,21 @@ class TestSpectrum:
         assert err == "error: the fwm1_s2 spectrum is not finite on this grid\n"
         assert not out.exists()
 
+    def test_step_equal_to_min_gamma_accepted(self, tmp_path, capsys):
+        # grid[1] - grid[0] is 0.10000000000000142 here: the step rule allows that roundoff
+        gammas = ("gamma31", "gamma21", "gamma32", "gamma12", "gamma23", "gamma33")
+        cfg = write_config(tmp_path, {"params": dict.fromkeys(gammas, 0.1)})
+        assert main(["spectrum", "--config", cfg]) == 0
+        assert main(["channels", "--config", cfg]) == 0
+
+    def test_null_omega_s3_defaults_to_omega_s1(self, tmp_path, capsys):
+        outputs = []
+        for omega_s3 in (None, 2.0):
+            doc = {"case": "fwm2_s2", "params": {"omega_s1": 2.0, "omega_s3": omega_s3}}
+            assert main(["spectrum", "--config", write_config(tmp_path, doc)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_unknown_case_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"case": "nonsense"})
         assert main(["spectrum", "--config", cfg]) == 2
@@ -299,6 +314,13 @@ class TestConfigHandling:
              "'criteria' must be a list of strings, got \"D12\""),
             (["region-scan"], {"criteria": [5]}, "'criteria' must be a list of strings, got [5]"),
             (["spectrum"], {"cases": "fwm1_s2"}, "'cases' must be a list of strings, got \"fwm1_s2\""),
+            (["channels"], {"params": {"omega_s1": 1e307}},
+             "the rho2_e1 spectrum is not finite on this grid"),
+            (["region-scan"], {"gains": {"G1": True, "G2": 1.2}}, "gain G1 must be a number, got true"),
+            (["channels"], {"params": {"omega1": True}},
+             "atomic parameter omega1 must be a number, got true"),
+            (["channels"], {"params": {"omega1": "x"}},
+             'atomic parameter omega1 must be a number, got "x"'),
         ],
     )
     def test_overflowing_config_exits_2(self, tmp_path, args, config, message):

@@ -7,6 +7,7 @@ from delcfwm import (
     AtomicParams,
     CoherentChannel,
     DressingCase,
+    Peak,
     analytic_resonances,
     channel_capacity,
     criteria,
@@ -18,6 +19,7 @@ from delcfwm import (
     rho3_dressed,
     rho3_undressed,
 )
+from delcfwm.coherence import _peaks
 
 WIDE_GRID = np.arange(-50.0, 40.0 + 1e-9, 0.1)
 
@@ -238,20 +240,19 @@ class TestFindPeaks:
         with pytest.raises(ValueError, match="margin"):
             find_peaks("fwm1_s2", AtomicParams(), np.arange(-10.0, 10.0, 0.1))
 
-    def test_lineshape_matches_amplitude_peaks(self):
-        p = AtomicParams()
-        by_amp = find_peaks("rho2_e1", p, WIDE_GRID)
-        by_shape = find_peaks("rho2_e1", p, WIDE_GRID, on="lineshape")
-        assert len(by_amp) == len(by_shape)
-        for a, b in zip(by_amp, by_shape):
-            assert a.delta1 == pytest.approx(b.delta1, abs=1e-9)
+    def test_step_equal_to_min_gamma_accepted(self):
+        p = AtomicParams(gamma21=0.1)
+        assert len(find_peaks("fwm1_s2", p, np.arange(-50.0, 40.0 + 1e-9, 0.1))) == 2
 
-    @pytest.mark.parametrize("omega", [0.0, 5.0, 20.0])
+    def test_non_finite_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="the rho2_e1 spectrum is not finite on this grid"):
+            find_peaks("rho2_e1", AtomicParams(omega_s1=1e307), WIDE_GRID)
+
+    @pytest.mark.parametrize("omega", [5.0, 20.0])
     def test_rho1_dressing_never_splits(self, omega):
-        # dressing strength does not change the peak count of this case;
-        # the lineshape search keeps the omega = 0 point meaningful
+        # dressing strength does not change the peak count of this case
         p = AtomicParams(omega1=omega)
-        assert len(find_peaks("rho1_e1", p, WIDE_GRID, on="lineshape")) == 2
+        assert len(find_peaks("rho1_e1", p, WIDE_GRID)) == 2
 
     def test_split_separation_shrinks_with_dressing(self):
         base = math.sqrt(13.0**2 + 4.0)
@@ -264,6 +265,33 @@ class TestFindPeaks:
                 assert separation < previous
             assert separation > base
             previous = separation
+
+
+class TestPeakCore:
+    """Run and refinement rules of the peak finder on hand-made sequences."""
+
+    GRID = np.arange(7.0)
+
+    def peaks(self, y):
+        return _peaks(self.GRID, np.array(y, dtype=float), 1.0)
+
+    def test_interior_plateau_gives_leftmost_point_unrefined(self):
+        assert self.peaks([0, 1, 3, 3, 3, 1, 0]) == [Peak(2.0, 3.0)]
+
+    @pytest.mark.parametrize("y", [[3, 3, 1, 0, 1, 2, 2], [2, 2, 2, 1, 0, 0, 0]])
+    def test_plateau_touching_an_end_is_no_peak(self, y):
+        assert self.peaks(y) == []
+
+    @pytest.mark.parametrize("y", [[2] * 7, [0, 1, 1, 2, 3, 5, 8], [8, 5, 3, 2, 1, 1, 0]])
+    def test_constant_or_monotone_gives_no_peak(self, y):
+        assert self.peaks(y) == []
+
+    def test_strict_maximum_refined_by_parabola(self):
+        # samples of 4 - (x - 2.25)^2 at x = 1, 2, 3: the vertex is (2.25, 4)
+        y = [0.0, 4.0 - 1.25**2, 4.0 - 0.25**2, 4.0 - 0.75**2, 0.0, -1.0, -2.0]
+        (peak,) = self.peaks(y)
+        assert peak.delta1 == pytest.approx(2.25, abs=1e-12)
+        assert peak.height == pytest.approx(4.0, abs=1e-12)
 
 
 class TestGainProfile:

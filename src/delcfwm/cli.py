@@ -129,8 +129,9 @@ def _atomic_params(cfg) -> AtomicParams:
         raise ConfigError("'params' must be an object of atomic parameters")
     try:
         return AtomicParams(**{
-            key: None if value is None else _number(value, f"atomic parameter {key}")
+            key: _number(value, f"atomic parameter {key}")
             for key, value in params.items()
+            if not (key == "omega_s3" and value is None)  # null means omega_s1
         })
     except TypeError as exc:
         raise ConfigError(f"bad atomic parameter: {exc}") from exc
@@ -237,12 +238,12 @@ def _emit_rows(cfg, header: list, *parts) -> None:
     """
     fmt = cfg["format"]
     if fmt == "csv":
-        row = ",".join(["%s"] * len(header))
-        head = row % tuple(map(_fmt, header)) + "\n"
+        row = ",".join  # every cell is already text
+        head = row(map(_fmt, header)) + "\n"
         text, sep, tail, empty = _fmt, "\n", "\n", head
     elif fmt == "json":
         fields = (json.dumps(name).replace("%", "%%") + ": %s" for name in header)
-        row = "  {\n    " + ",\n    ".join(fields) + "\n  }"
+        row = ("  {\n    " + ",\n    ".join(fields) + "\n  }").__mod__
         text, head, sep, tail, empty = json.dumps, "[\n", ",\n", "\n]\n", "[]\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}; expected csv or json")
@@ -252,7 +253,7 @@ def _emit_rows(cfg, header: list, *parts) -> None:
         for columns in parts:
             for lo in range(0, len(columns[0]), ROW_BLOCK):
                 cells = [_cells(col[lo:lo + ROW_BLOCK], text, cache) for col in columns]
-                yield lead + sep.join(map(row.__mod__, zip(*cells)))
+                yield lead + sep.join(map(row, zip(*cells)))
                 lead = sep
         yield empty if lead is head else tail
 

@@ -73,12 +73,24 @@ def _symplectic_spectrum(sigmas: np.ndarray) -> tuple[np.ndarray, float]:
     """Symplectic eigenvalues (ascending, last axis) of a stack of covariance
     matrices (..., 2n, 2n), and the worst +/- pairing residual.
 
-    With sigma = L L^T (Cholesky), the Hermitian matrix i L^T Omega L has
-    the eigenvalues +/-nu_k; each pair is averaged. The whole stack is
-    solved in one call, so its temporaries grow with the stack; the sweeps
-    pass one block of grid points at a time. A matrix that is not finite or
-    not positive definite, or a pairing mismatch above PAIRING_TOL relative
-    to the largest eigenvalue of this call's stack (for a sweep: of one
+    Each matrix takes one of two routes, chosen by its own entries, so its
+    value does not depend on the rest of the stack:
+
+    * No X-P covariance (every entry sigma[2i, 2j+1] and sigma[2i+1, 2j] is
+      exactly 0), as in every state of phase-insensitive amplifiers: with
+      the X and P blocks sigma_X = L_X L_X^T and sigma_P = L_P L_P^T
+      (Cholesky), the eigenvalues are the singular values of the n x n
+      matrix L_P^T L_X (Serafini, Quantum Continuous Variables, ch. 3).
+    * Otherwise, with sigma = L L^T (Cholesky), the Hermitian matrix
+      i L^T Omega L has the eigenvalues +/-nu_k; each pair is averaged.
+
+    Singular values do not come in +/- pairs, so the residual is the worst
+    pairing mismatch over the matrices of the second route, 0.0 when there
+    are none. Each route solves its matrices of the stack in one call, so
+    temporaries grow with the stack; the sweeps pass one block of grid
+    points at a time. A matrix that is not finite or not positive definite,
+    or a pairing mismatch above PAIRING_TOL relative to the largest
+    eigenvalue of this call's second-route matrices (for a sweep: of one
     block), raises ValueError: the input is not a valid covariance matrix.
     Symmetry is the caller's responsibility.
     """
@@ -86,8 +98,12 @@ def _symplectic_spectrum(sigmas: np.ndarray) -> tuple[np.ndarray, float]:
     flat = sigmas.reshape((-1, 2 * n, 2 * n))
     if not np.isfinite(flat).all():
         raise ValueError("covariance matrix is not finite")
+    no_xp = ~(flat[:, 0::2, 1::2].any(axis=(1, 2)) | flat[:, 1::2, 0::2].any(axis=(1, 2)))
+    xp_free = flat[no_xp]
     try:
-        low = np.linalg.cholesky(flat)
+        low_x = np.linalg.cholesky(xp_free[:, 0::2, 0::2])
+        low_p = np.linalg.cholesky(xp_free[:, 1::2, 1::2])
+        low = np.linalg.cholesky(flat[~no_xp])
     except np.linalg.LinAlgError:
         raise ValueError(
             "covariance matrix is not positive definite; input is not a valid covariance matrix"
@@ -100,7 +116,10 @@ def _symplectic_spectrum(sigmas: np.ndarray) -> tuple[np.ndarray, float]:
             f"symplectic eigenvalues do not pair up (+/- pairing residual {residual:.3e}); "
             "input is not a valid covariance matrix"
         )
-    return ((pos + neg) / 2.0).reshape(sigmas.shape[:-2] + (n,)), residual
+    nus = np.empty((flat.shape[0], n))
+    nus[no_xp] = np.linalg.svd(low_p.transpose(0, 2, 1) @ low_x, compute_uv=False)[:, ::-1]
+    nus[~no_xp] = (pos + neg) / 2.0
+    return nus.reshape(sigmas.shape[:-2] + (n,)), residual
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 This is the package's former kernel. The symplectic eigenvalues of a
 covariance matrix are the moduli of the eigenvalues of Omega @ sigma, which
-come in +/- pairs. It shares no code with the package's Cholesky/Hermitian
-and closed-form routes, so tests compare those against it.
+come in +/- pairs. It shares no code with the package's singular-value,
+Hermitian and closed-form routes, so tests compare those against it.
 """
 
 import numpy as np

@@ -391,7 +391,7 @@ class TestCriteriaProfile:
 
     def test_blocks_do_not_change_rows(self, monkeypatch):
         args = ("quad", "rho2_e1", AtomicParams(), self.GRID, 1.0, 1.3, 1.1)
-        # PPT:1|3 and PPT:12|34 take the Hermitian eigensolve, PPT:1|234 the closed form
+        # PPT:1|3 and PPT:12|34 take the singular-value route, PPT:1|234 the closed form
         labels = ["D12", "PPT:1|234", "PPT:12|34", "PPT:1|3"]
         whole = criteria_profile(*args, criteria=labels)  # 451 points, one block
         monkeypatch.setattr(criteria, "BLOCK", 7)  # 65 blocks, the last of three points

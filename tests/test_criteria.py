@@ -348,7 +348,7 @@ class TestSweep:
 
     def test_parallel_rows_identical(self, monkeypatch):
         axes = {"G1": GridAxis(1.0, 1.5, 0.05), "G2": GridAxis(1.0, 1.5, 0.05)}
-        # PPT:1|3 takes the Hermitian eigensolve, PPT:1|23 the pure-state closed form
+        # PPT:1|3 takes the singular-value route, PPT:1|23 the pure-state closed form
         labels = ["D12", "D23", "PPT:1|23", "PPT:1|3"]
         whole = sweep_criteria("tri", axes, labels)  # 121 points, one block
         for block in (criteria.BLOCK, 7):  # 7: 18 blocks, the last of one point

@@ -17,6 +17,7 @@ from delcfwm import (
     vacuum_cm,
 )
 from delcfwm.gaussian import _symplectic_spectrum
+from test_kernel import phase_rotated
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -118,8 +119,13 @@ class TestSymplecticEigenvalues:
         assert abs(nus[0] - 0.288) < 1e-3
 
     def test_residual_reported(self):
-        _, residual = _symplectic_spectrum(vacuum_cm(3)[None])
-        assert residual < 1e-12
+        # X-P covariance sends a state down the Hermitian route, whose +/-
+        # eigenvalue pairs give the residual; a state without it adds nothing
+        rotated = phase_rotated(output_cm(build_tri_transform(GainSet(1.2, 1.3))), [0.3, 1.1, 2.0])
+        _, residual = _symplectic_spectrum(rotated[None])
+        assert 0.0 < residual < 1e-12
+        assert _symplectic_spectrum(np.stack([vacuum_cm(3), rotated]))[1] == residual
+        assert _symplectic_spectrum(vacuum_cm(3)[None])[1] == 0.0
 
     def test_asymmetric_input_rejected(self):
         bad = np.eye(4)

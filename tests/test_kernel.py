@@ -4,6 +4,9 @@ Every PPT value of the bundled PPT presets and of the golden-hash grids must
 match the oracle within 1e-11 relative, and its verdict must match wherever
 the oracle lies outside the 1e-9 roundoff band of the bound. Property tests
 cover gains up to 50 on every three- and four-mode label, and invalid input.
+The model's states have no X-P covariance and take the n x n singular-value
+route; local phase rotations give them X-P covariance, which sends them down
+the Hermitian route with the same spectrum.
 """
 
 import csv
@@ -22,7 +25,11 @@ from delcfwm.criteria import (
     evaluate_criterion_batch,
     parse_criterion,
 )
-from delcfwm.gaussian import _min_symplectic_eigenvalue_batch, symplectic_eigenvalues
+from delcfwm.gaussian import (
+    _min_symplectic_eigenvalue_batch,
+    _symplectic_spectrum,
+    symplectic_eigenvalues,
+)
 from delcfwm.presets import load_preset
 from test_cli import QUAD_GRID, QUAD_LABELS, TRI_GRID, TRI_LABELS, write_config
 
@@ -101,6 +108,27 @@ GAIN_OR_ONE = st.one_of(st.just(1.0), GAIN)
 GAINS = st.integers(2, 3).flatmap(lambda k: st.lists(GAIN_OR_ONE, min_size=k, max_size=k))
 
 
+#: one local phase rotation angle per mode
+ANGLES = st.lists(st.floats(0.1, 3.0), min_size=4, max_size=4)
+
+
+def phase_rotated(sigmas, angles):
+    """``sigmas`` (..., 2n, 2n) after rotating mode k's (X, P) by ``angles[k-1]``:
+    a local symplectic map, so the spectrum and every PPT value stay, but the
+    state gains X-P covariance."""
+    n = sigmas.shape[-1] // 2
+    rot = np.zeros((2 * n, 2 * n))
+    for k, theta in enumerate(angles[:n]):
+        c, s = np.cos(theta), np.sin(theta)
+        rot[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, s], [-s, c]]
+    out = rot @ sigmas @ rot.T
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
+def _has_xp(sigmas):
+    return np.any(sigmas[..., 0::2, 1::2] != 0, axis=(-2, -1))
+
+
 def _ppt_crits(gains):
     labels = TRI_LABELS if len(gains) == 2 else QUAD_LABELS
     return [parse_criterion(lbl, len(gains) + 1) for lbl in labels if lbl.startswith("PPT:")]
@@ -161,27 +189,55 @@ def test_decoupled_splits_are_not_entangled(gains):
             assert value >= -bound, (crit.label, value)
 
 
+@settings(max_examples=60, deadline=None)
+@given(GAINS, ANGLES)
+def test_phase_rotation_leaves_values(gains, angles):
+    """The Hermitian route on rotated states agrees with the singular-value
+    route on the same states unrotated. The pure-split closed form is left
+    out: at a decoupled mode the rotation's roundoff moves its determinant
+    off 1 by eps, and so its value by sqrt(eps)."""
+    sigmas, scale = _state(gains)
+    rotated = phase_rotated(sigmas, angles)
+    for crit in _ppt_crits(gains):
+        want = evaluate_criterion_batch(sigmas, crit)[0]
+        got = evaluate_criterion_batch(rotated, crit)[0]
+        assert abs(got - want) <= COND * scale, (crit.label, got, want)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.lists(GAIN, min_size=3, max_size=3), min_size=1, max_size=5))
-def test_scalar_equals_batch(points):
-    sigmas = oracle.output_cms(np.array(points))
-    for crit in _ppt_crits(points[0]):
+@given(
+    st.lists(st.tuples(st.lists(GAIN, min_size=3, max_size=3), st.booleans()), min_size=1,
+             max_size=5),
+    ANGLES,
+)
+def test_scalar_equals_batch(points, angles):
+    """A stack that mixes both routes gives each matrix its value alone, bit for bit."""
+    sigmas = oracle.output_cms(np.array([gains for gains, _ in points]))
+    rotate = np.array([flag for _, flag in points])
+    sigmas[rotate] = phase_rotated(sigmas[rotate], angles)
+    for crit in _ppt_crits(points[0][0]):
         batch = evaluate_criterion_batch(sigmas, crit)
         assert batch.tolist() == [evaluate_criterion(s, crit) for s in sigmas]
     nus = [symplectic_eigenvalues(s)[0] for s in sigmas]
     assert _min_symplectic_eigenvalue_batch(sigmas).tolist() == nus
+    alone = [_symplectic_spectrum(s[None])[0][0].tolist() for s in sigmas]
+    assert _symplectic_spectrum(sigmas)[0].tolist() == alone
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.floats(1e-3, 1e6), st.integers(1, 4))
-def test_non_positive_definite_rejected(scale, n_modes):
-    sigma = -scale * np.eye(2 * n_modes)
-    with pytest.raises(ValueError, match="positive definite"):
-        symplectic_eigenvalues(sigma)
-    if n_modes > 1:
-        label = f"PPT:1|{''.join(map(str, range(2, n_modes + 1)))}"
+@given(st.floats(1e-3, 1e6), st.integers(1, 4), ANGLES)
+def test_non_positive_definite_rejected(scale, n_modes, angles):
+    negative = -scale * np.eye(2 * n_modes)
+    # one negative X variance, rotated into an X-P covariance
+    indefinite = phase_rotated(scale * np.diag([-1.0] + [2.0] * (2 * n_modes - 1)), angles)
+    assert not _has_xp(negative) and _has_xp(indefinite)
+    for sigma in (negative, indefinite):
         with pytest.raises(ValueError, match="positive definite"):
-            evaluate_criterion(sigma, label)
+            symplectic_eigenvalues(sigma)
+        if n_modes > 1:
+            label = f"PPT:1|{''.join(map(str, range(2, n_modes + 1)))}"
+            with pytest.raises(ValueError, match="positive definite"):
+                evaluate_criterion(sigma, label)
 
 
 def test_closed_form_rejects_determinant_below_one():
@@ -198,5 +254,11 @@ def test_mode_beyond_the_matrices_rejected(label):
 
 
 def test_non_finite_matrix_rejected():
-    with pytest.raises(ValueError, match="not finite"):
-        symplectic_eigenvalues(np.full((4, 4), np.nan))
+    x_nan, xp_nan = np.eye(4), np.eye(4)
+    x_nan[0, 0] = np.nan
+    xp_nan[0, 1] = xp_nan[1, 0] = np.nan
+    for sigma in (np.full((4, 4), np.nan), x_nan, xp_nan):
+        with pytest.raises(ValueError, match="not finite"):
+            symplectic_eigenvalues(sigma)
+        with pytest.raises(ValueError, match="not finite"):
+            evaluate_criterion(sigma, "PPT:1|2")

@@ -5,14 +5,14 @@ r * (a_i' a_j' - a_i a_j) of each amplifier and reconstructs quadrature
 covariances directly from expectation values. This path shares no code with
 the symplectic construction, so agreement between the two is a meaningful
 cross-check. Only small squeezing is reachable before truncation bites; the
-closed-form checks cover the high-gain regime instead. ``scipy.sparse`` is
-imported on first use: it costs more than the rest of the package's import.
+closed-form checks cover the high-gain regime instead. Each squeezer acts on
+two modes only, so it is exponentiated on their cutoff**2 block and applied to
+those two axes of the amplitude tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,21 +66,15 @@ def vacuum_state(n_modes: int, cutoff: int) -> TruncatedState:
     return TruncatedState(n_modes, cutoff, amps)
 
 
-@lru_cache(maxsize=None)
-def _lowering(cutoff: int):
-    import scipy.sparse as sp
-    return sp.diags(np.sqrt(np.arange(1, cutoff)), offsets=1, format="csr")
+def _lowering(cutoff: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
 
 
-@lru_cache(maxsize=None)
-def _mode_lowering(n_modes: int, cutoff: int, mode: int):
-    """Annihilation operator of one mode on the full tensor space (mode 1 = slowest axis)."""
-    import scipy.sparse as sp
-    op = sp.identity(1, format="csr")
-    for m in range(1, n_modes + 1):
-        factor = _lowering(cutoff) if m == mode else sp.identity(cutoff, format="csr")
-        op = sp.kron(op, factor, format="csr")
-    return op
+def _apply(op: np.ndarray, amplitudes: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """Apply a k-mode operator, shaped (out..., in...), to those modes (1 = slowest axis)."""
+    k, axes = len(modes), [m - 1 for m in modes]
+    out = np.tensordot(op, amplitudes, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
 
 
 def _top_layer_mass(amplitudes: np.ndarray) -> float:
@@ -104,13 +98,11 @@ def evolve_tms(state: TruncatedState, i: int, j: int, r: float) -> TruncatedStat
         raise ValueError(f"squeezing parameter must be in [0, {MAX_SQUEEZING}], got {r}")
     if r == 0.0:
         return TruncatedState(n, cutoff, state.amplitudes.copy(), state.leakage)
-    from scipy.sparse.linalg import expm_multiply
-    a_i = _mode_lowering(n, cutoff, i)
-    a_j = _mode_lowering(n, cutoff, j)
-    pair_down = a_i @ a_j
-    generator = r * (pair_down.conj().T - pair_down)
-    psi = expm_multiply(generator, state.amplitudes.ravel())
-    amps = psi.reshape(state.amplitudes.shape)
+    pair_down = np.kron(_lowering(cutoff), _lowering(cutoff))
+    # exp(K) for the real antisymmetric K = r (a'b' - ab), through the Hermitian iK
+    lam, vec = np.linalg.eigh(1j * r * (pair_down.T - pair_down))
+    block = (vec * np.exp(-1j * lam)) @ vec.conj().T
+    amps = _apply(block.reshape((cutoff,) * 4), state.amplitudes, (i, j))
     leak = _top_layer_mass(amps)
     if leak > LEAK_TOL:
         raise TruncationError(
@@ -129,17 +121,13 @@ def covariance_from_state(state: TruncatedState) -> np.ndarray:
     """
     if abs(state.norm - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (norm {state.norm:.8f})")
-    n, cutoff = state.n_modes, state.cutoff
-    psi = state.amplitudes.ravel()
-    columns = []
-    for mode in range(1, n + 1):
-        a_m = _mode_lowering(n, cutoff, mode)
-        down = a_m @ psi
-        up = a_m.conj().T @ psi
-        columns.append(down + up)  # X|psi>
-        columns.append(1j * (up - down))  # P|psi>
-    quad = np.column_stack(columns)
-    means = np.real(psi.conj() @ quad)
+    a = _lowering(state.cutoff)
+    quadratures = (a + a.T, 1j * (a.T - a))  # X, P
+    quad = np.column_stack([
+        _apply(q, state.amplitudes, (mode,)).ravel()
+        for mode in range(1, state.n_modes + 1) for q in quadratures
+    ])
+    means = np.real(state.amplitudes.ravel().conj() @ quad)
     second = np.real(quad.conj().T @ quad)
     sigma = (second + second.T) / 2.0 - np.outer(means, means)
     return sigma

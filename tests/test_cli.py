@@ -471,14 +471,20 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    code = "import sys, delcfwm.cli; print('scipy.sparse' in sys.modules)"
+def test_validate_oracle_runs_without_scipy():
+    """The number-basis oracle needs numpy only: with scipy blocked from
+    import, both oracle checks still run and pass."""
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from delcfwm.cli import main\n"
+        "sys.exit(main(['validate', '--filter', 'oracle']))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert "2/2 checks passed" in proc.stdout
 
 
 def test_benchmark_harness_names_exist():
@@ -507,7 +513,16 @@ def test_benchmark_harness_names_exist():
         and node.targets[0].id in ("TRANSFORMS", "SPECTRA")
     }
     assert set(span_sets) == {"TRANSFORMS", "SPECTRA"}
-    for span in set().union(*span_sets.values(), launch.ATTRS):
+    # process_metrics picks single spans out by comparing their names with these
+    compared = {
+        const.value
+        for node in ast.walk(layers) if isinstance(node, ast.Compare)
+        for const in ast.walk(node)
+        if isinstance(const, ast.Constant) and isinstance(const.value, str)
+        and const.value.partition(".")[0] in launch.LAYERS
+    }
+    assert {"fock.evolve_tms", "fock.covariance_from_state"} <= compared
+    for span in set().union(*span_sets.values(), launch.ATTRS, compared):
         layer, name = span.split(".")
         module = importlib.import_module(launch.LAYERS[layer])
         assert callable(getattr(module, name, None)), f"{launch.LAYERS[layer]}.{name}"

@@ -144,3 +144,45 @@ class TestOracleEquivalence:
             from_model = evaluate_criterion(model_cm, label)
             assert from_oracle == pytest.approx(from_model, abs=1e-3)
             assert (from_oracle < 4.0) == (from_model < 4.0)
+
+
+class TestDenseReference:
+    """The two-mode-block evolution and per-mode quadratures against operators
+    built on the full 3-mode space with ``np.kron``, for every ordered pair."""
+
+    N, CUTOFF, R = 3, 6, 0.1
+
+    def full_lowering(self, mode):
+        lowering = np.diag(np.sqrt(np.arange(1.0, self.CUTOFF)), 1)
+        op = np.eye(1)
+        for m in range(1, self.N + 1):
+            op = np.kron(op, lowering if m == mode else np.eye(self.CUTOFF))
+        return op
+
+    def start(self):
+        # asymmetric in every mode pair, so a swapped axis shows
+        return evolve_tms(evolve_tms(vacuum_state(self.N, self.CUTOFF), 1, 2, 0.1), 2, 3, 0.05)
+
+    @pytest.mark.parametrize("i, j", [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j])
+    def test_evolution_matches_full_space_exponential(self, i, j):
+        pair_down = self.full_lowering(i) @ self.full_lowering(j)
+        lam, vec = np.linalg.eigh(1j * self.R * (pair_down.T - pair_down))
+        dense = (vec * np.exp(-1j * lam)) @ vec.conj().T
+        state = self.start()
+        expected = dense @ state.amplitudes.ravel()
+        got = evolve_tms(state, i, j, self.R).amplitudes.ravel()
+        assert np.abs(got - expected).max() < 1e-13
+
+    def test_covariance_matches_full_space_quadratures(self):
+        quads = []
+        for mode in range(1, self.N + 1):
+            a = self.full_lowering(mode)
+            quads += [a + a.T, 1j * (a.T - a)]
+        state = evolve_tms(self.start(), 3, 1, self.R)
+        psi = state.amplitudes.ravel()
+        means = np.array([np.real(psi.conj() @ q @ psi) for q in quads])
+        second = np.array(
+            [[np.real(psi.conj() @ (qk @ ql + ql @ qk) @ psi) / 2 for ql in quads] for qk in quads]
+        )
+        expected = second - np.outer(means, means)
+        assert np.abs(covariance_from_state(state) - expected).max() < 1e-13
